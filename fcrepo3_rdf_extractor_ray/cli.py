@@ -63,32 +63,8 @@ def main(argv=None) -> int:
 
     from .pipelines.kg import (materialize_sorted, pages_for_sf,
                                run_kg, run_kg_resumable)
-    from .stages.dedup import dedup_quads
-    from .stages.canonicalize import build_entity_map, resolve_quads
-    from .stages.extract import extract_quads_batch
-    from .sources.pages import build_alias_table
 
-    if args.urls:
-        # explicit-URI mode (Extract.java:138-139): pushed-down filter on
-        # the pages read, then the same pipeline
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        pages = pages_for_sf(args.sf_dir)
-        urlset = pa.array(args.urls, pa.string())
-        pages = pages.map_batches(
-            lambda t: t.filter(pc.is_in(t["url"], value_set=urlset)),
-            batch_format="pyarrow",
-        )
-        raw = pages.map_batches(
-            extract_quads_batch,
-            fn_kwargs={"skip_empty_literals": args.skip_empty_literals},
-            batch_format="pyarrow",
-        ).materialize()
-        mapping = build_entity_map(raw, build_alias_table(),
-                                   n_salts=args.n_salts)
-        quads = dedup_quads(resolve_quads(raw, mapping), n_salts=args.n_salts)
-    elif args.checkpoint_dir:
+    if args.checkpoint_dir and not args.urls:
         quads = run_kg_resumable(
             args.sf_dir, args.checkpoint_dir, n_salts=args.n_salts,
             skip_empty_literals=args.skip_empty_literals)
@@ -97,9 +73,22 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     else:
+        pages = None
+        if args.urls:
+            # explicit-URI mode (Extract.java:138-139): filter the pages
+            # read, then the same pipeline
+            import pyarrow as pa
+            import pyarrow.compute as pc
+
+            urlset = pa.array(args.urls, pa.string())
+            pages = pages_for_sf(args.sf_dir).map_batches(
+                lambda t: t.filter(pc.is_in(t["url"], value_set=urlset)),
+                batch_format="pyarrow",
+            )
         quads = run_kg(args.sf_dir, use_join_resolve=args.use_join_resolve,
                        n_salts=args.n_salts,
-                       skip_empty_literals=args.skip_empty_literals)
+                       skip_empty_literals=args.skip_empty_literals,
+                       pages_ds=pages)
 
     if args.graph_name:
         from .stages.filters import tag_graph

@@ -14,7 +14,8 @@ sorted materialization):
       → build_entity_map (salted sip64 groupby + broadcast alias dict)
       → resolve (broadcast map, or hash join at scale)
       → dedup_quads (combiner + salted two-phase groupby)
-      → sort(subj,pred,obj) → parquet + N-Quads shards
+      → sort(subj,pred,obj) → one sink pass: per sorted block, a
+        Parquet shard + a same-stem N-Quads shard
 
 Between extraction and canonicalization the raw quads are either
 materialized in the object store (in-memory checkpoint; default — raw
@@ -25,7 +26,11 @@ resumable at-scale path; see state/lineage.py).
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pyarrow as pa
+from ray.data.datasource import Datasink
 
 from ..sources.pages import build_alias_table, read_pages, synthesize_pages
 from ..stages.canonicalize import build_entity_map, resolve_quads
@@ -171,8 +176,6 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
     the union of committed groups. Returns the final quads Dataset, or
     None if the run "crashed" at either boundary. ``repeat`` scales the
     synthesized corpus (×N copies) for stress runs."""
-    import os
-
     from ..state.lineage import (checkpoint_exists, checkpoint_quads,
                                  committed_groups, merge_lineage,
                                  new_collector, read_all_groups)
@@ -288,82 +291,115 @@ def adjacency_table(quads_ds, n_parts: int | None = None):
     return ds.groupby("part").map_groups(assemble, batch_format="pandas")
 
 
+def _nquad_lines(t: pa.Table) -> pa.ChunkedArray:
+    """One newline-terminated N-Quads line per quad row: vectorized
+    literal escaping (\\ " newline) + term assembly; bare strings
+    broadcast as scalars in the join kernel."""
+    import pyarrow.compute as pc
+
+    lex = pc.replace_substring(t["obj"], "\\", "\\\\")
+    lex = pc.replace_substring(lex, '"', '\\"')
+    lex = pc.replace_substring(lex, "\n", "\\n")
+    lit = pc.binary_join_element_wise('"', lex, '"', "")
+    dt_tail = pc.binary_join_element_wise(
+        "^^<", t["obj_datatype"], ">", "")
+    lit = pc.if_else(
+        pc.not_equal(t["obj_datatype"], ""),
+        pc.binary_join_element_wise(lit, dt_tail, ""), lit)
+    iri = pc.binary_join_element_wise("<", t["obj"], ">", "")
+    obj = pc.if_else(t["obj_is_literal"], lit, iri)
+    lines = pc.binary_join_element_wise(
+        "<", t["subj"], "> <", t["pred"], "> ", obj,
+        " <", t["graph"], "> .\n", "")
+    if lines.null_count:
+        raise ValueError("null term in a quad row: no N-Quads line for it")
+    return lines
+
+
+def _subject_hash_part(t: pa.Table) -> pa.Array:
+    """MD5 subject-hash prefix per row (the Hive partition key)."""
+    import pandas as pd
+
+    from ..functions.iri import hash_prefix
+
+    # subjects repeat heavily (input is subj-sorted): factorize, md5 only
+    # the uniques, gather back — no per-row Python hash
+    codes, uniques = pd.factorize(t["subj"].to_pandas(), sort=False)
+    up = np.asarray([hash_prefix(s, depth=1) for s in uniques], dtype=object)
+    return pa.array(up[codes], pa.string())
+
+
+def _string_bytes(arr: pa.Array) -> pa.Buffer:
+    """A non-empty string array's values back to back: one slice of its
+    data buffer, with no per-value Python string."""
+    _, offsets, data = arr.buffers()
+    offsets = np.frombuffer(offsets, np.int64 if pa.types.is_large_string(
+        arr.type) else np.int32)
+    return data[int(offsets[arr.offset]):int(offsets[arr.offset + len(arr)])]
+
+
+class SortedQuadsDatasink(Datasink):
+    """Writes each sorted block once: a Parquet shard and, with
+    ``write_nquads``, an ``nquads/<stem>.nq`` text shard of the same
+    rows (the reference's quads{i}.nq per-worker sharding,
+    Extract.java:217-219, TripleDump.java:63-69).
+
+    A shard's stem is ``<write id>_<task idx>_<block idx>``. The write id
+    is fixed on the driver and the indices by the task's arguments, so a
+    retried write task overwrites its own files and adds no rows."""
+
+    def __init__(self, out_dir: str, write_nquads: bool = True,
+                 partition_by_subject_hash: bool = False):
+        import uuid
+
+        self.out_dir = out_dir
+        self.nq_dir = (os.path.join(out_dir, "nquads") if write_nquads
+                       else None)
+        self.partition_by_subject_hash = partition_by_subject_hash
+        self.write_id = uuid.uuid4().hex[:16]
+
+    def on_write_start(self) -> None:
+        os.makedirs(self.nq_dir or self.out_dir, exist_ok=True)
+
+    def write(self, blocks, ctx) -> None:
+        import pyarrow.parquet as pq
+        from ray.data.block import BlockAccessor
+
+        for i, block in enumerate(blocks):
+            t = BlockAccessor.for_block(block).to_arrow()
+            if t.num_rows == 0:
+                continue
+            stem = f"{self.write_id}_{ctx.task_idx:06d}_{i:06d}"
+            if self.partition_by_subject_hash:
+                pq.write_to_dataset(
+                    t.append_column("subj_part", _subject_hash_part(t)),
+                    self.out_dir, partition_cols=["subj_part"],
+                    basename_template=stem + "-{i}.parquet")
+            else:
+                pq.write_table(t, os.path.join(self.out_dir,
+                                               stem + ".parquet"))
+            if self.nq_dir is not None:
+                with open(os.path.join(self.nq_dir, stem + ".nq"),
+                          "wb") as f:
+                    for chunk in _nquad_lines(t).chunks:
+                        if len(chunk):
+                            f.write(_string_bytes(chunk))
+
+
 def materialize_sorted(quads_ds, out_dir: str, write_nquads: bool = True,
                        partition_by_subject_hash: bool = False):
-    """Final materialization (K1 analog): sort by (subj, pred, obj), write
-    Parquet shards + mirrored sorted N-Quads text shards (one file per
-    block — the `quads{i}.nq` sharding, Extract.java:217-219).
+    """Final materialization (K1 analog): sort by (subj, pred, obj), then
+    one streaming pass through ``SortedQuadsDatasink`` writes every
+    sorted block as a Parquet shard plus, with ``write_nquads``, a
+    mirrored N-Quads shard under ``<out_dir>/nquads``. The plan upstream
+    runs once.
 
-    ``partition_by_subject_hash`` writes Hive-partitioned output keyed by
+    ``partition_by_subject_hash`` writes Hive-partitioned Parquet keyed by
     an MD5 subject-hash prefix (the HashPathIdMapper layout analog,
     HashPathIdMapper.java:145-160) — one directory per key range, so a
     failed downstream consumer can skip finished partitions."""
-    ds = quads_ds.sort(["subj", "pred", "obj"])
-    if partition_by_subject_hash:
-        from ..functions.iri import hash_prefix
-
-        def add_part(t: pa.Table) -> pa.Table:
-            import numpy as np
-            import pandas as pd
-
-            # subjects repeat heavily (input is subj-sorted): factorize,
-            # md5 only the uniques, gather back — no per-row Python hash
-            codes, uniques = pd.factorize(
-                t["subj"].to_pandas(), sort=False)
-            up = np.asarray([hash_prefix(s, depth=1) for s in uniques],
-                            dtype=object)
-            return t.append_column(
-                "subj_part", pa.array(up[codes], pa.string()))
-
-        ds.map_batches(add_part, batch_format="pyarrow").write_parquet(
-            out_dir, partition_cols=["subj_part"])
-    else:
-        ds.write_parquet(out_dir)
-    if write_nquads:
-        def to_lines(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            # vectorized literal escaping (\ " newline) + term assembly;
-            # bare strings broadcast as scalars in the join kernel
-            lex = pc.replace_substring(t["obj"], "\\", "\\\\")
-            lex = pc.replace_substring(lex, '"', '\\"')
-            lex = pc.replace_substring(lex, "\n", "\\n")
-            lit = pc.binary_join_element_wise('"', lex, '"', "")
-            dt_tail = pc.binary_join_element_wise(
-                "^^<", t["obj_datatype"], ">", "")
-            lit = pc.if_else(
-                pc.not_equal(t["obj_datatype"], ""),
-                pc.binary_join_element_wise(lit, dt_tail, ""), lit)
-            iri = pc.binary_join_element_wise("<", t["obj"], ">", "")
-            obj = pc.if_else(t["obj_is_literal"], lit, iri)
-            lines = pc.binary_join_element_wise(
-                "<", t["subj"], "> <", t["pred"], "> ", obj,
-                " <", t["graph"], "> .", "")
-            return pa.table({"line": lines})
-
-        import os
-
-        from ray.data.datasource import BlockBasedFileDatasink
-
-        class NQuadsDatasink(BlockBasedFileDatasink):
-            """Plain-text N-Quads sink, one `.nq` file per block (the
-            reference's quads{i}.nq per-worker sharding,
-            Extract.java:217-219, TripleDump.java:63-69)."""
-
-            def __init__(self, path: str):
-                super().__init__(path, file_format="nq")
-
-            def write_block_to_file(self, block, file) -> None:
-                tbl = block.to_arrow()
-                text = "\n".join(tbl["line"].to_pylist())
-                if text:
-                    text += "\n"
-                file.write(text.encode("utf-8"))
-
-        nq_dir = os.path.join(out_dir, "nquads")
-        ds.map_batches(to_lines, batch_format="pyarrow").write_datasink(
-            NQuadsDatasink(nq_dir)
-        )
+    quads_ds.sort(["subj", "pred", "obj"]).write_datasink(
+        SortedQuadsDatasink(out_dir, write_nquads, partition_by_subject_hash))
     return out_dir
 
 

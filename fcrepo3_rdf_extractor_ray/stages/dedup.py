@@ -84,7 +84,7 @@ def _rename(ds, mapping: dict[str, str]):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def dedup_quads(quads_ds, n_salts: int = 4, n_parts: int | None = None):
+def dedup_quads(quads_ds, n_salts: int = 1, n_parts: int | None = None):
     """Exact dedup of a quads Dataset → one row per distinct quad with
     ``src_url`` = min source url and ``n_src`` = occurrence count.
 
