@@ -13,8 +13,9 @@ sorted materialization):
       → [checkpoint boundary: raw quads]                # html long gone
       → build_entity_map (salted sip64 groupby + broadcast alias dict)
       → resolve (broadcast map, or hash join at scale)
-      → dedup_quads (combiner + salted two-phase groupby)
-      → sort(subj,pred,obj) → one sink pass: per sorted block, a
+      → dedup_quads: per-batch combiner → sort(subj,pred,obj), the
+        one exchange → per-block dedup finish in full sink order
+      → materialize_sorted, one sink pass: per sorted block, a
         Parquet shard + a same-stem N-Quads shard
 
 Between extraction and canonicalization the raw quads are either
@@ -84,10 +85,13 @@ def run_kg(sf_dir: str, use_join_resolve: bool = False,
            pages_ds=None):
     """pages(sf_dir) → deduplicated canonical quads Dataset.
 
-    ``n_salts``: >1 adds the salt-split exchange for head-key skew
-    (exact — min/sum/distinct are associative; invariance is tested).
-    The per-batch combiner already bounds any key to ≤ #blocks rows, so
-    salting pays off when the block count is far larger than the
+    The result is deduplicated and already in sink order (see
+    ``dedup_quads``): ``materialize_sorted`` writes it without another
+    exchange.
+
+    ``n_salts``: >1 adds the salt-split exchange to the entity-map build
+    for head-norm skew (exact — min/distinct are associative; invariance
+    is tested). It pays off when the block count is far larger than the
     reducer count (the 10^12-document regime), not at test scale.
 
     ``pages_ds``: run over an explicit pages Dataset instead of the
@@ -124,7 +128,7 @@ def run_kg(sf_dir: str, use_join_resolve: bool = False,
 
         mapping = build_entity_map_auto(raw, alias, n_salts=n_salts)
         resolved = resolve_quads_auto(raw, mapping)
-    return dedup_quads(resolved, n_salts=n_salts)
+    return dedup_quads(resolved)
 
 
 def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
@@ -152,7 +156,7 @@ def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
 
     mapping = build_entity_map_auto(raw, alias, n_salts=n_salts)
     resolved = resolve_quads_auto(raw, mapping)
-    quads = dedup_quads(resolved, n_salts=n_salts)
+    quads = dedup_quads(resolved)
     if with_mentions:
         from ..stages.ner import mentions_from_parsed
 
@@ -254,7 +258,7 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
             return None  # simulated crash between map build and resolve
     mapping_ds = read_checkpoint(checkpoint_dir, stage="entitymap")
     resolved = resolve_quads_join_ds(raw, mapping_ds)
-    return dedup_quads(resolved, n_salts=n_salts)
+    return dedup_quads(resolved)
 
 
 def adjacency_table(quads_ds, n_parts: int | None = None):
@@ -329,6 +333,21 @@ def _subject_hash_part(t: pa.Table) -> pa.Array:
     return pa.array(up[codes], pa.string())
 
 
+def _check_sorted(t: pa.Table) -> None:
+    """Raise unless the rows are non-decreasing on (subj, pred, obj): one
+    vectorized comparison of each row with the next."""
+    import pyarrow.compute as pc
+
+    a, b = t.slice(0, t.num_rows - 1), t.slice(1)
+    ok = pc.less_equal(a["obj"], b["obj"])
+    for c in ("pred", "subj"):
+        ok = pc.or_(pc.less(a[c], b[c]), pc.and_(pc.equal(a[c], b[c]), ok))
+    if not pc.all(ok, min_count=0).as_py():
+        raise ValueError("materialize_sorted got a block that is not sorted "
+                         "by (subj, pred, obj): pass it what dedup_quads or "
+                         "run_kg returns")
+
+
 def _string_bytes(arr: pa.Array) -> pa.Buffer:
     """A non-empty string array's values back to back: one slice of its
     data buffer, with no per-value Python string."""
@@ -339,7 +358,8 @@ def _string_bytes(arr: pa.Array) -> pa.Buffer:
 
 
 class SortedQuadsDatasink(Datasink):
-    """Writes each sorted block once: a Parquet shard and, with
+    """Writes each sorted block once (an unsorted one raises
+    ``ValueError``): a Parquet shard and, with
     ``write_nquads``, an ``nquads/<stem>.nq`` text shard of the same
     rows (the reference's quads{i}.nq per-worker sharding,
     Extract.java:217-219, TripleDump.java:63-69).
@@ -369,6 +389,7 @@ class SortedQuadsDatasink(Datasink):
             t = BlockAccessor.for_block(block).to_arrow()
             if t.num_rows == 0:
                 continue
+            _check_sorted(t)
             stem = f"{self.write_id}_{ctx.task_idx:06d}_{i:06d}"
             if self.partition_by_subject_hash:
                 pq.write_to_dataset(
@@ -388,17 +409,21 @@ class SortedQuadsDatasink(Datasink):
 
 def materialize_sorted(quads_ds, out_dir: str, write_nquads: bool = True,
                        partition_by_subject_hash: bool = False):
-    """Final materialization (K1 analog): sort by (subj, pred, obj), then
-    one streaming pass through ``SortedQuadsDatasink`` writes every
-    sorted block as a Parquet shard plus, with ``write_nquads``, a
-    mirrored N-Quads shard under ``<out_dir>/nquads``. The plan upstream
-    runs once.
+    """Final materialization (K1 analog): one streaming pass through
+    ``SortedQuadsDatasink`` writes every block as a Parquet shard plus,
+    with ``write_nquads``, a mirrored N-Quads shard under
+    ``<out_dir>/nquads``. The plan upstream runs once.
+
+    ``quads_ds`` must already be in sink order — what ``dedup_quads`` and
+    ``run_kg`` return: range-partitioned on (subj, pred, obj), each block
+    sorted. This function does not sort; a block out of (subj, pred, obj)
+    order raises ``ValueError`` instead of becoming an unsorted shard.
 
     ``partition_by_subject_hash`` writes Hive-partitioned Parquet keyed by
     an MD5 subject-hash prefix (the HashPathIdMapper layout analog,
     HashPathIdMapper.java:145-160) — one directory per key range, so a
     failed downstream consumer can skip finished partitions."""
-    quads_ds.sort(["subj", "pred", "obj"]).write_datasink(
+    quads_ds.write_datasink(
         SortedQuadsDatasink(out_dir, write_nquads, partition_by_subject_hash))
     return out_dir
 

@@ -46,6 +46,9 @@ QUADS_SCHEMA = pa.schema(
 )
 
 QUAD_KEY_COLS = ["graph", "subj", "pred", "obj", "obj_is_literal", "obj_datatype"]
+# Row order of the written shards: range-partitioned on the first three
+# columns, each block sorted on all six (one row per key after dedup).
+SINK_ORDER = ["subj", "pred", "obj", "graph", "obj_is_literal", "obj_datatype"]
 
 ALIAS_SCHEMA = pa.schema(
     [

@@ -55,7 +55,7 @@ def _batch_unique_norms(t: pa.Table) -> pa.Table:
     })
 
 
-def unique_norms(quads_ds, n_salts: int = 4, n_parts: int | None = None):
+def unique_norms(quads_ds, n_salts: int = 1, n_parts: int | None = None):
     """Distinct (norm, sip64) via salted partition-grouped distinct.
 
     Shuffle key = ``sip64 mod n_parts`` (same key must co-locate); the
@@ -282,7 +282,7 @@ def union_find_min_id_dataset(edges_ds, max_iters: int = 16,
     return {r["norm"]: r["label"] for r in rows}
 
 
-def build_entity_map(quads_ds, alias_table: pa.Table, n_salts: int = 4,
+def build_entity_map(quads_ds, alias_table: pa.Table, n_salts: int = 1,
                      driver_link_threshold: int = 100_000) -> dict[str, str]:
     """norm → canonical IRI for every unresolved surface in ``quads_ds``.
 
@@ -320,7 +320,7 @@ def build_entity_map(quads_ds, alias_table: pa.Table, n_salts: int = 4,
 
 
 def build_entity_map_auto(quads_ds, alias_table: pa.Table,
-                          n_salts: int = 4,
+                          n_salts: int = 1,
                           driver_link_threshold: int = 100_000):
     """AUTO-ROUTED entity map (the ``minhash_clusters`` switch pattern):
     count the distinct norms once; at or below
@@ -359,7 +359,7 @@ def resolve_quads_auto(quads_ds, mapping):
     return resolve_quads_join_ds(quads_ds, mapping)
 
 
-def build_entity_map_ds(quads_ds, alias_table: pa.Table, n_salts: int = 4):
+def build_entity_map_ds(quads_ds, alias_table: pa.Table, n_salts: int = 1):
     """Dataset form of ``build_entity_map`` — the 100-TB path: unique
     norms → alias/embedding linking (actor pool, broadcast dictionary) →
     distributed min-ID fixpoint, all as Datasets with NO driver-side

@@ -3,8 +3,9 @@
 - ``dedup_quads`` — exact quad dedup (set semantics; the reference's
   correctness is duplicate-insensitive, SidoraExamplesIT.java:105, so
   dedup is the explicit operator the north rule adds). Per-batch Arrow
-  ``Table.group_by`` combiner → salted two-phase global groupby (min /
-  sum are associative → partial/final is exact).
+  ``Table.group_by`` combiner → one range sort on (subj, pred, obj) →
+  per-block ``group_by`` finish (min / sum are associative, so
+  partial/final is exact); the output is already in sink order.
 - ``dedup_exact_docs`` — exact document dedup by content hash.
 - ``minhash_clusters`` — MinHash + LSH banding near-dup detection.
 - ``simhash_pairs`` — SimHash hamming-distance near-dups via band-chunk
@@ -25,56 +26,32 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import minhash_signature, simhash64
 from ..runtime import pool as _pool
-from ..schema import QUAD_KEY_COLS
+from ..schema import QUAD_KEY_COLS, SINK_ORDER
 
 _N_COL = "n_src"
 _SRC_COL = "src_url"
 
 
-def _quad_hash_cols(t: pa.Table) -> tuple[pa.Array, pa.Array]:
-    """128-bit content hash of the quad key → two int64 columns.
-
-    The global shuffle groups on (qh1, qh2) — two int64 keys sort an
-    order of magnitude faster than a six-string composite key, and 128
-    bits keeps the collision expectation ≪ 1 even at 10^12 quads (64
-    bits would not: birthday ≈ 3·10^4 collisions there)."""
-    import hashlib
-
-    import pandas as pd
-
-    lit = pc.if_else(t["obj_is_literal"], pa.scalar("L"), pa.scalar("R"))
-    key = pc.binary_join_element_wise(
-        t["graph"], t["subj"], t["pred"], t["obj"], lit, t["obj_datatype"],
-        "\x1f")
-    codes, uniques = pd.factorize(key.to_pandas())
-    h1 = np.empty(len(uniques), dtype=np.int64)
-    h2 = np.empty(len(uniques), dtype=np.int64)
-    for i, u in enumerate(uniques):
-        d = hashlib.md5(u.encode("utf-8")).digest()
-        h1[i] = int.from_bytes(d[:8], "little", signed=True)
-        h2[i] = int.from_bytes(d[8:], "little", signed=True)
-    return pa.array(h1[codes]), pa.array(h2[codes])
+def _group_quads(t: pa.Table) -> pa.Table:
+    """Collapse duplicate quads of one table: min ``src_url``, summed
+    ``n_src``. Vectorized Arrow ``group_by``, no per-key Python; one
+    thread, since each Ray task holds one CPU."""
+    g = t.group_by(QUAD_KEY_COLS, use_threads=False).aggregate(
+        [(_SRC_COL, "min"), (_N_COL, "sum")])
+    return g.rename_columns(QUAD_KEY_COLS + [_SRC_COL, _N_COL])
 
 
-def _dedup_table(t: pa.Table, extra_keys: list[str] | None = None) -> pa.Table:
-    """Vectorized exact dedup of one Arrow table on the (qh1, qh2) content
-    hash: min payload columns (identical within a group) + summed count."""
-    keys = ["qh1", "qh2"] + (extra_keys or [])
-    aggs = [(c, "min") for c in QUAD_KEY_COLS] + [(_SRC_COL, "min"),
-                                                  (_N_COL, "sum")]
-    g = t.group_by(keys).aggregate(aggs)
-    return g.rename_columns(keys + QUAD_KEY_COLS + [_SRC_COL, _N_COL])
+def _combine_quads(t: pa.Table) -> pa.Table:
+    """Per-batch combiner: collapses duplicates before the exchange, so
+    no key sends more rows into it than there are input blocks."""
+    return _group_quads(t.append_column(
+        _N_COL, pa.array(np.ones(t.num_rows, dtype=np.int64))))
 
 
-def _combine_batch(t: pa.Table, n_parts: int) -> pa.Table:
-    """Per-batch combiner: collapse duplicate quads before the shuffle,
-    attach the 128-bit content hash + the shuffle partition id."""
-    qh1, qh2 = _quad_hash_cols(t)
-    t = t.append_column("qh1", qh1).append_column("qh2", qh2)
-    t = t.append_column(_N_COL, pa.array(np.ones(t.num_rows, dtype=np.int64)))
-    g = _dedup_table(t)
-    part = pc.cast(pc.bit_wise_and(g["qh1"], n_parts - 1), pa.int32())
-    return g.append_column("part", part)
+def _finish_quads(t: pa.Table) -> pa.Table:
+    """Per sorted block: final dedup, then the full six-column order, so
+    rows tied on (subj, pred, obj) come out the same on every run."""
+    return _group_quads(t).sort_by([(c, "ascending") for c in SINK_ORDER])
 
 
 def _rename(ds, mapping: dict[str, str]):
@@ -84,55 +61,33 @@ def _rename(ds, mapping: dict[str, str]):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def dedup_quads(quads_ds, n_salts: int = 1, n_parts: int | None = None):
+def dedup_quads(quads_ds, n_salts: int = 1):
     """Exact dedup of a quads Dataset → one row per distinct quad with
-    ``src_url`` = min source url and ``n_src`` = occurrence count.
+    ``src_url`` = min source url and ``n_src`` = occurrence count, range
+    partitioned and sorted by ``SINK_ORDER`` — what ``materialize_sorted``
+    writes.
 
-    Shape: per-batch Arrow combiner (collapses duplicates before any
-    exchange) → shuffle on ``part = qh1 mod n_parts`` → *vectorized*
-    Arrow ``group_by`` inside each partition. One Python invocation per
-    partition, never per key — Ray's builtin per-group aggregation costs
-    ~µs-per-group-per-agg in Python, which dominates at millions of
-    distinct quads.
+    Shape: per-batch Arrow combiner → one ``sort(subj, pred, obj)`` →
+    per sorted block, the same ``group_by`` again plus a sort by the full
+    key. Every duplicate of a quad shares (subj, pred, obj), and the range
+    sort sends equal sort keys to the same output block, so the per-block
+    finish is exact (Ray's own ``GroupedData.map_groups`` rests on the
+    same guarantee). One exchange, and no hash key.
 
-    Head triples (one fact asserted on millions of pages) are the skew
-    case: with ``n_salts > 1`` phase 1 additionally splits every
-    partition's rows across salts (two exchanges, exact because min/sum
-    are associative); the combiner already bounds any key to ≤ #blocks
-    rows, so salting matters when block counts are huge."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(2.0)
-    ds = quads_ds.map_batches(_combine_batch, batch_format="pyarrow",
-                              fn_kwargs={"n_parts": n_parts})
-    # coalesce the (already batch-deduped, much smaller) stream before the
-    # exchange: sort-shuffle cost grows with input block count, and the
-    # extraction stage emits a block per batch
-    ds = ds.repartition(n_parts)
-
-    def dedup_part(t: pa.Table) -> pa.Table:
-        return _dedup_table(t, extra_keys=["part"])
-
-    if n_salts > 1:
-        def add_salt(t: pa.Table) -> pa.Table:
-            salt = np.arange(t.num_rows, dtype=np.int64) % n_salts
-            return t.append_column("salt", pa.array(salt.astype(np.int32)))
-
-        ds = ds.map_batches(add_salt, batch_format="pyarrow")
-        ds = ds.groupby(["part", "salt"]).map_groups(
-            lambda t: _dedup_table(t, extra_keys=["part", "salt"]),
-            batch_format="pyarrow",
-        ).drop_columns(["salt"])
-    out = ds.groupby(["part"]).map_groups(dedup_part, batch_format="pyarrow")
-    return out.drop_columns(["part", "qh1", "qh2"])
+    ``n_salts`` is accepted and ignored: the combiner already bounds any
+    head key to ≤ #blocks rows entering the sort."""
+    return (quads_ds.map_batches(_combine_quads, batch_format="pyarrow")
+            .sort(SINK_ORDER[:3])
+            .map_batches(_finish_quads, batch_format="pyarrow",
+                         batch_size=None))
 
 
 def dedup_exact_docs(docs_ds, text_col: str = "text", id_col: str = "doc_id",
                      n_parts: int | None = None):
     """Exact document dedup: group by content hash, keep the min id (the
-    min-ID rule), count duplicates. Same shape as ``dedup_quads``:
-    per-batch combiner → hash-partition shuffle → vectorized Arrow
-    group_by per partition (shuffling a 16-byte hash + part id instead
-    of sorting multi-KB text keys)."""
+    min-ID rule), count duplicates. Per-batch combiner → hash-partition
+    shuffle → vectorized Arrow group_by per partition (shuffling a
+    16-byte hash + part id instead of sorting multi-KB text keys)."""
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(2.0)
     import hashlib
@@ -159,9 +114,9 @@ def dedup_exact_docs(docs_ds, text_col: str = "text", id_col: str = "doc_id",
 
     ds = docs_ds.map_batches(combine, batch_format="pyarrow")
     # coalesce the (already batch-deduped, much smaller) stream before the
-    # exchange — same reason as dedup_quads: the sort-shuffle's scheduling
-    # cost grows with INPUT block count, and the combiner emits one small
-    # block per read batch, so an uncoalesced exchange is latency-bound
+    # exchange: the sort-shuffle's scheduling cost grows with INPUT block
+    # count, and the combiner emits one small block per read batch, so an
+    # uncoalesced exchange is latency-bound
     # (measured: 208 blocks → the Sort op was 7.7s wall on 2.3s compute)
     ds = ds.repartition(n_parts)
 

@@ -1,7 +1,7 @@
 """Property-based dedup verification: on random quad tables, the Ray
-dedup operator must agree with a DuckDB GROUP BY, for any salt/partition
-configuration (hypothesis drives the shapes; the Ray round-trip runs on
-a small deterministic subset of examples to keep session cost sane)."""
+dedup operator must agree with a DuckDB GROUP BY, for any input block
+layout (hypothesis drives the shapes; the Ray round-trip runs on a small
+deterministic subset of examples to keep session cost sane)."""
 
 import duckdb
 import numpy as np
@@ -23,15 +23,17 @@ def _random_quads(seed: int, n: int) -> pa.Table:
     return quads_table(["g"] * n, subs, preds, objs, lits, dts, srcs)
 
 
-@pytest.mark.parametrize("seed,n,n_salts,n_parts", [
+# n_salts is accepted and ignored by dedup_quads; n_blocks is the input
+# block count (more blocks than rows leaves some blocks empty)
+@pytest.mark.parametrize("seed,n,n_salts,n_blocks", [
     (0, 50, 1, 4), (1, 200, 4, 8), (2, 333, 2, 16), (3, 10, 4, 64),
 ])
-def test_dedup_matches_duckdb(seed, n, n_salts, n_parts):
+def test_dedup_matches_duckdb(seed, n, n_salts, n_blocks):
     import ray.data as rd
 
     t = _random_quads(seed, n)
-    ds = rd.from_arrow(t).repartition(3)
-    got = dedup_quads(ds, n_salts=n_salts, n_parts=n_parts).to_pandas()
+    ds = rd.from_arrow(t).repartition(n_blocks)
+    got = dedup_quads(ds, n_salts=n_salts).to_pandas()
 
     con = duckdb.connect()
     con.register("q", t)
@@ -44,7 +46,51 @@ def test_dedup_matches_duckdb(seed, n, n_salts, n_parts):
     assert sorted(want.columns) == cols
     g = got[cols].sort_values(cols).reset_index(drop=True)
     w = want[cols].sort_values(cols).reset_index(drop=True)
-    assert g.astype(str).equals(w.astype(str)), (seed, n, n_salts, n_parts)
+    assert g.astype(str).equals(w.astype(str)), (seed, n, n_salts, n_blocks)
+
+
+def test_no_key_spans_two_sort_blocks(ray_session):
+    """dedup_quads finishes each sorted block on its own, which is exact
+    only if all rows of a key land in one sort block. With tiny target
+    blocks and a head quad in each of 16 input blocks: rows equal DuckDB's
+    GROUP BY (n_src and src_url too), and no (subj, pred, obj) shows up in
+    two output blocks."""
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    blocks = [pa.concat_tables([
+        quads_table(["g"], ["s_head"], ["p0"], ["o0"], [False], [""],
+                    [f"u{(7 * i) % 16}"]),
+        _random_quads(100 + i, 40)]) for i in range(16)]
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 1024
+    try:
+        out = dedup_quads(rd.from_arrow(blocks)).materialize()
+        tables = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+    finally:
+        ctx.target_max_block_size = old
+
+    con = duckdb.connect()
+    con.register("q", pa.concat_tables(blocks))
+    want = con.execute("""
+        SELECT graph, subj, pred, obj, obj_is_literal, obj_datatype,
+               min(src_url) AS src_url, count(*) AS n_src
+        FROM q GROUP BY ALL ORDER BY ALL
+    """).arrow()
+    got = pa.concat_tables(tables).sort_by(
+        [(c, "ascending") for c in want.column_names])
+    assert got.to_pylist() == want.to_pylist()
+    assert ("s_head", 16) in zip(got["subj"].to_pylist(),
+                                 got["n_src"].to_pylist())
+    seen: dict[tuple, int] = {}
+    for i, t in enumerate(tables):
+        for k in zip(t["subj"].to_pylist(), t["pred"].to_pylist(),
+                     t["obj"].to_pylist()):
+            assert seen.setdefault(k, i) == i, (k, seen[k], i)
+    assert len(tables) > 1
 
 
 def test_ngram_jaccard_matches_bruteforce_reference():

@@ -1,8 +1,10 @@
-"""Salted-skew evidence for the flagship (VERDICT r04 ask #5): run the
+"""Salted-skew evidence for the flagship's entity-map build: run the
 full KG pipeline over the ×N amplified corpus (Zipf-skewed entity
 mentions — the head entities are exactly what n_salts targets) at
 n_salts=1 and n_salts=4, assert the outputs are IDENTICAL via an
-order-invariant checksum, and report both walls.
+order-invariant checksum, and report both walls. Only the entity map
+(``unique_norms``) salts; ``dedup_quads`` ignores ``n_salts`` — its
+per-batch combiner already bounds a head quad to ≤ #blocks rows.
 
 Usage: python tools/stress_salts.py [sf_dir] [repeat] [num_cpus]
 """
