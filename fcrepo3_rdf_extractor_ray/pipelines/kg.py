@@ -13,8 +13,9 @@ sorted materialization):
       → [checkpoint boundary: raw quads]                # html long gone
       → build_entity_map (salted sip64 groupby + broadcast alias dict)
       → resolve (broadcast map, or hash join at scale)
-      → dedup_quads: per-batch combiner → sort(subj,pred,obj), the
-        one exchange → per-block dedup finish in full sink order
+      → dedup_quads: per-batch combiner → coalesce to a
+        cluster-sized block count → sort(subj,pred,obj), the one
+        exchange → per-block dedup finish in full sink order
       → materialize_sorted, one sink pass: per sorted block, a
         Parquet shard + a same-stem N-Quads shard
 

@@ -23,17 +23,18 @@ def _random_quads(seed: int, n: int) -> pa.Table:
     return quads_table(["g"] * n, subs, preds, objs, lits, dts, srcs)
 
 
-# n_salts is accepted and ignored by dedup_quads; n_blocks is the input
-# block count (more blocks than rows leaves some blocks empty)
-@pytest.mark.parametrize("seed,n,n_salts,n_blocks", [
+# n_copies: the table is fed that many times over, so every quad's
+# duplicates sit in several input blocks; n_blocks is the input block
+# count (more blocks than rows leaves some blocks empty)
+@pytest.mark.parametrize("seed,n,n_copies,n_blocks", [
     (0, 50, 1, 4), (1, 200, 4, 8), (2, 333, 2, 16), (3, 10, 4, 64),
 ])
-def test_dedup_matches_duckdb(seed, n, n_salts, n_blocks):
+def test_dedup_matches_duckdb(seed, n, n_copies, n_blocks):
     import ray.data as rd
 
-    t = _random_quads(seed, n)
+    t = pa.concat_tables([_random_quads(seed, n)] * n_copies)
     ds = rd.from_arrow(t).repartition(n_blocks)
-    got = dedup_quads(ds, n_salts=n_salts).to_pandas()
+    got = dedup_quads(ds).to_pandas()
 
     con = duckdb.connect()
     con.register("q", t)
@@ -46,19 +47,34 @@ def test_dedup_matches_duckdb(seed, n, n_salts, n_blocks):
     assert sorted(want.columns) == cols
     g = got[cols].sort_values(cols).reset_index(drop=True)
     w = want[cols].sort_values(cols).reset_index(drop=True)
-    assert g.astype(str).equals(w.astype(str)), (seed, n, n_salts, n_blocks)
+    assert g.astype(str).equals(w.astype(str)), (seed, n, n_copies, n_blocks)
 
 
-def test_no_key_spans_two_sort_blocks(ray_session):
+def test_no_key_spans_two_sort_blocks(ray_session, monkeypatch):
     """dedup_quads finishes each sorted block on its own, which is exact
     only if all rows of a key land in one sort block. With tiny target
     blocks and a head quad in each of 16 input blocks: rows equal DuckDB's
-    GROUP BY (n_src and src_url too), and no (subj, pred, obj) shows up in
-    two output blocks."""
+    GROUP BY (n_src and src_url too), and no (subj, pred, obj) reaches two
+    finish calls. The finish tags its rows with a per-call id: Ray splits
+    the finish's OUTPUT into target-size blocks after it has run, so the
+    sorted blocks it consumes, not the Dataset's output blocks, are where
+    a split key would do harm."""
+    import uuid
+
     import ray
     import ray.data as rd
     from ray.data import DataContext
 
+    from fcrepo3_rdf_extractor_ray.stages import dedup
+
+    finish = dedup._finish_quads
+
+    def tagged_finish(t: pa.Table) -> pa.Table:
+        out = finish(t)
+        call = pa.array([uuid.uuid4().hex] * out.num_rows, pa.string())
+        return out.append_column("finish_call", call)
+
+    monkeypatch.setattr(dedup, "_finish_quads", tagged_finish)
     blocks = [pa.concat_tables([
         quads_table(["g"], ["s_head"], ["p0"], ["o0"], [False], [""],
                     [f"u{(7 * i) % 16}"]),
@@ -67,9 +83,8 @@ def test_no_key_spans_two_sort_blocks(ray_session):
     old = ctx.target_max_block_size
     ctx.target_max_block_size = 1024
     try:
-        out = dedup_quads(rd.from_arrow(blocks)).materialize()
-        tables = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
-                  for ref in bundle.block_refs]
+        tagged = pa.concat_tables(ray.get(
+            dedup_quads(rd.from_arrow(blocks)).to_arrow_refs()))
     finally:
         ctx.target_max_block_size = old
 
@@ -80,17 +95,18 @@ def test_no_key_spans_two_sort_blocks(ray_session):
                min(src_url) AS src_url, count(*) AS n_src
         FROM q GROUP BY ALL ORDER BY ALL
     """).arrow()
-    got = pa.concat_tables(tables).sort_by(
+    got = tagged.drop_columns(["finish_call"]).sort_by(
         [(c, "ascending") for c in want.column_names])
     assert got.to_pylist() == want.to_pylist()
     assert ("s_head", 16) in zip(got["subj"].to_pylist(),
                                  got["n_src"].to_pylist())
-    seen: dict[tuple, int] = {}
-    for i, t in enumerate(tables):
-        for k in zip(t["subj"].to_pylist(), t["pred"].to_pylist(),
-                     t["obj"].to_pylist()):
-            assert seen.setdefault(k, i) == i, (k, seen[k], i)
-    assert len(tables) > 1
+    seen: dict[tuple, str] = {}
+    for k, call in zip(zip(tagged["subj"].to_pylist(),
+                           tagged["pred"].to_pylist(),
+                           tagged["obj"].to_pylist()),
+                       tagged["finish_call"].to_pylist()):
+        assert seen.setdefault(k, call) == call, k
+    assert len(set(seen.values())) > 1
 
 
 def test_ngram_jaccard_matches_bruteforce_reference():

@@ -1,8 +1,10 @@
 """Partition-count invariance for the hot exchanges (the round-4
 cluster-size-aware partitioning contract): deriving ``n_parts`` from the
-cluster MUST NOT change any result, so every hot exchange is asserted
-oracle-identical at n_parts ∈ {8, 64, 256} — below, at, and far above
-the sandbox CPU count — plus unit properties of ``default_parts``."""
+cluster MUST NOT change any result, so every hot exchange with an
+``n_parts`` knob is asserted oracle-identical at n_parts ∈ {8, 64, 256}
+— below, at, and far above the sandbox CPU count — and ``dedup_quads``,
+whose range count is fixed by the cluster, at input block counts
+{2, 8, 64, 256}; plus unit properties of ``default_parts``."""
 
 import numpy as np
 import pandas as pd
@@ -60,16 +62,20 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def test_dedup_quads_nparts_invariant(ray_session):
-    """dedup_quads has no partition knob: its one range sort takes as many
-    ranges as there are input blocks, so the block count is the axis
-    (3, 8, 64: each block is a sort task, so 256 would only add Ray task
-    overhead)."""
+    """dedup_quads has no partition knob, so the input block count is the
+    axis. Ray's sort makes one range per input block; dedup_quads
+    coalesces first, so every layout, 2 blocks to 256, comes out in
+    default_parts(2.0) sorted blocks (the shard count of
+    materialize_sorted)."""
     import ray.data as rd
 
     t = _random_quads(5, 400)
-    outs = [_norm(dedup_quads(rd.from_arrow(t).repartition(k)).to_pandas())
-            for k in (3, 8, 64)]
-    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+    outs = []
+    for k in [2] + PARTS:
+        out = dedup_quads(rd.from_arrow(t).repartition(k)).materialize()
+        assert out.num_blocks() == runtime.default_parts(2.0), k
+        outs.append(_norm(out.to_pandas()))
+    assert all(o.equals(outs[0]) for o in outs[1:])
     assert len(outs[0]) > 0
 
 
