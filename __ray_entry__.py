@@ -641,12 +641,15 @@ def _q_kg_quads_all(sf_dir: str):
 
 
 def _q_kg_quads_join_resolve(sf_dir: str):
-    """Same flagship result via the Ray-native hash-join resolution path
-    (the at-scale alternative to the broadcast map) — oracle-identical to
-    kg_quads_all."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import run_kg
+    """Same flagship result with the entity map forced onto its at-scale
+    route (a (norm, label) Dataset, resolved by join instead of a
+    broadcast dict) — oracle-identical to kg_quads_all."""
+    from fcrepo3_rdf_extractor_ray.pipelines.kg import (canonical_quads,
+                                                        extract_raw_quads,
+                                                        pages_for_sf)
 
-    return run_kg(sf_dir, use_join_resolve=True)
+    raw = extract_raw_quads(pages_for_sf(sf_dir)).materialize()
+    return canonical_quads(raw, driver_link_threshold=0)
 
 
 def _warc_shards_for_sf(sf_dir: str) -> list[str]:

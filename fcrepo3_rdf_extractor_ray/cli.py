@@ -45,8 +45,6 @@ def main(argv=None) -> int:
                     help="enable resumable wave extraction + lineage")
     ap.add_argument("--no-nquads", action="store_true")
     ap.add_argument("--partition-by-subject-hash", action="store_true")
-    ap.add_argument("--use-join-resolve", action="store_true")
-    ap.add_argument("--n-salts", type=int, default=1)
     args = ap.parse_args(argv)
 
     import ray
@@ -66,7 +64,7 @@ def main(argv=None) -> int:
 
     if args.checkpoint_dir and not args.urls:
         quads = run_kg_resumable(
-            args.sf_dir, args.checkpoint_dir, n_salts=args.n_salts,
+            args.sf_dir, args.checkpoint_dir,
             skip_empty_literals=args.skip_empty_literals)
         if quads is None:
             print("extraction incomplete (crashed run); re-invoke to resume",
@@ -85,8 +83,7 @@ def main(argv=None) -> int:
                 lambda t: t.filter(pc.is_in(t["url"], value_set=urlset)),
                 batch_format="pyarrow",
             )
-        quads = run_kg(args.sf_dir, use_join_resolve=args.use_join_resolve,
-                       n_salts=args.n_salts,
+        quads = run_kg(args.sf_dir,
                        skip_empty_literals=args.skip_empty_literals,
                        pages_ds=pages)
 

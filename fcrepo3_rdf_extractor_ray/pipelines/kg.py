@@ -8,22 +8,23 @@ sorted materialization):
 
     read_parquet(pages, columns pruned — never the golden `text` column)
       → map_batches(extract_quads_batch)                # parse once/page
-        (task form by default; ExtractQuadsStage actor pool when a
-        stage holds real state — lineage reporting, loaded models)
+        (task form; the resumable run uses the ExtractQuadsStage actor
+        pool, which reports lineage)
       → [checkpoint boundary: raw quads]                # html long gone
-      → build_entity_map (salted sip64 groupby + broadcast alias dict)
-      → resolve (broadcast map, or hash join at scale)
+      → build_entity_map (combiner + sip64 distinct, alias link,
+        min-ID union-find: a driver dict up to the norm threshold, a
+        (norm, label) Dataset above it)
+      → resolve_quads (broadcast the dict, or join the Dataset)
       → dedup_quads: per-batch combiner → coalesce to a
         cluster-sized block count → sort(subj,pred,obj), the one
         exchange → per-block dedup finish in full sink order
       → materialize_sorted, one sink pass: per sorted block, a
         Parquet shard + a same-stem N-Quads shard
 
-Between extraction and canonicalization the raw quads are either
-materialized in the object store (in-memory checkpoint; default — raw
-quads are a small fraction of the html-bearing input) or written to a
-Parquet checkpoint with lineage manifests (``checkpoint_dir=``, the
-resumable at-scale path; see state/lineage.py).
+``run_kg`` keeps the raw quads in the object store between extraction
+and canonicalization (raw quads are a small fraction of the html-bearing
+input); ``run_kg_resumable`` writes them, and then the entity map, to
+atomic Parquet checkpoints with lineage manifests (state/lineage.py).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def pages_for_sf(sf_dir: str, repeat: int = 1):
     return read_pages(pages_dir, columns=PAGE_COLUMNS)
 
 
-def extract_raw_quads(pages_ds, concurrency: int | tuple | None = None,
-                      batch_size: int = 4096, skip_empty_literals: bool = True):
+def extract_raw_quads(pages_ds, batch_size: int = 4096,
+                      skip_empty_literals: bool = True):
     """Stage 1: one parse per page → constant + meta + raw-fact quads.
 
     ``batch_size`` trades per-batch overhead against batch memory: the
@@ -57,20 +58,10 @@ def extract_raw_quads(pages_ds, concurrency: int | tuple | None = None,
     size it to payload — 4096 suits ~KB pages; drop to ~256 for MB-scale
     pages. The html column never leaves this stage, and each batch is one
     output block (too-small batches flood the driver with block
-    metadata)."""
+    metadata). A stateless task form: it reuses warm worker processes
+    and scales with the task scheduler instead of actor-pool ramp-up."""
     from ..stages.extract import extract_quads_batch
 
-    if concurrency is not None:
-        # explicit actor-pool request (e.g. model-backed extraction)
-        return pages_ds.map_batches(
-            ExtractQuadsStage,
-            fn_constructor_kwargs={"skip_empty_literals": skip_empty_literals},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-    # default: stateless task form — reuses warm worker processes, scales
-    # with the task scheduler instead of actor-pool ramp-up
     return pages_ds.map_batches(
         extract_quads_batch,
         fn_kwargs={"skip_empty_literals": skip_empty_literals},
@@ -79,61 +70,36 @@ def extract_raw_quads(pages_ds, concurrency: int | tuple | None = None,
     )
 
 
-def run_kg(sf_dir: str, use_join_resolve: bool = False,
-           concurrency: int | tuple | None = None,
-           checkpoint_dir: str | None = None, n_salts: int = 1,
-           repeat: int = 1, skip_empty_literals: bool = True,
-           pages_ds=None):
+def canonical_quads(raw, driver_link_threshold: int | None = None):
+    """Raw quads → entity map → resolved, deduplicated quads in sink
+    order: the tail of ``run_kg`` and ``run_kg_parse_once``
+    (``run_kg_resumable`` checkpoints the map between the two steps)."""
+    mapping = build_entity_map(raw, build_alias_table(),
+                               driver_link_threshold)
+    return dedup_quads(resolve_quads(raw, mapping))
+
+
+def run_kg(sf_dir: str, repeat: int = 1, skip_empty_literals: bool = True,
+           pages_ds=None, n_salts: int = 1):
     """pages(sf_dir) → deduplicated canonical quads Dataset.
 
     The result is deduplicated and already in sink order (see
     ``dedup_quads``): ``materialize_sorted`` writes it without another
     exchange.
 
-    ``n_salts``: >1 adds the salt-split exchange to the entity-map build
-    for head-norm skew (exact — min/distinct are associative; invariance
-    is tested). It pays off when the block count is far larger than the
-    reducer count (the 10^12-document regime), not at test scale.
-
     ``pages_ds``: run over an explicit pages Dataset instead of the
-    sf-dir parquet (e.g. a WARC-ingested corpus, sources/warc.py)."""
+    sf-dir parquet (e.g. a WARC-ingested corpus, sources/warc.py).
+    ``n_salts`` is accepted and ignored (the benchmark still passes it)."""
     pages = (pages_ds if pages_ds is not None
              else pages_for_sf(sf_dir, repeat=repeat))
-    raw = extract_raw_quads(pages, concurrency=concurrency,
-                            skip_empty_literals=skip_empty_literals)
-    if checkpoint_dir is not None:
-        from ..state.lineage import checkpoint_quads, read_checkpoint
-
-        checkpoint_quads(raw, checkpoint_dir, stage="extract")
-        raw = read_checkpoint(checkpoint_dir, stage="extract")
-    else:
-        # in-memory checkpoint: raw quads are consumed twice (entity-map
-        # build + resolve) — materialize so pages are parsed exactly once
-        raw = raw.materialize()
-    alias = build_alias_table()
-    if use_join_resolve:
-        # 100-TB path: the entity map stays a Dataset end-to-end (unique
-        # norms → link → distributed union-find → hash-join resolve) —
-        # no driver-side dict anywhere
-        from ..stages.canonicalize import (build_entity_map_ds,
-                                           resolve_quads_join_ds)
-
-        mapping_ds = build_entity_map_ds(raw, alias, n_salts=n_salts)
-        resolved = resolve_quads_join_ds(raw, mapping_ds)
-    else:
-        # auto-routed: driver dict + broadcast resolve at entity scale,
-        # mapping Dataset + join resolve above the norm threshold —
-        # no take_all on the at-scale path
-        from ..stages.canonicalize import (build_entity_map_auto,
-                                           resolve_quads_auto)
-
-        mapping = build_entity_map_auto(raw, alias, n_salts=n_salts)
-        resolved = resolve_quads_auto(raw, mapping)
-    return dedup_quads(resolved)
+    # in-memory checkpoint: raw quads are consumed twice (entity-map
+    # build + resolve) — materialize so pages are parsed exactly once
+    raw = extract_raw_quads(
+        pages, skip_empty_literals=skip_empty_literals).materialize()
+    return canonical_quads(raw)
 
 
 def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
-                      use_join_resolve: bool = False, n_salts: int = 1,
                       repeat: int = 1, skip_empty_literals: bool = True):
     """Flagship over the PARSE-ONCE backbone: pages run through
     ``parse_pages`` exactly once; quad extraction AND mention detection
@@ -151,13 +117,7 @@ def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
     parsed = parse_pages(pages).materialize()
     raw = extract_quads_from_parsed(
         parsed, skip_empty_literals=skip_empty_literals).materialize()
-    alias = build_alias_table()
-    from ..stages.canonicalize import (build_entity_map_auto,
-                                       resolve_quads_auto)
-
-    mapping = build_entity_map_auto(raw, alias, n_salts=n_salts)
-    resolved = resolve_quads_auto(raw, mapping)
-    quads = dedup_quads(resolved)
+    quads = canonical_quads(raw)
     if with_mentions:
         from ..stages.ner import mentions_from_parsed
 
@@ -165,10 +125,31 @@ def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
     return quads
 
 
+def _read_entity_map(checkpoint_dir: str):
+    """The committed (norm, label) checkpoint in the form
+    ``build_entity_map`` returns for its size: a driver dict at or below
+    ``DRIVER_LINK_THRESHOLD`` rows (the manifest's count), else the
+    Dataset read lazily."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from ..stages import canonicalize
+    from ..state.lineage import _ckpt_dir, read_checkpoint
+
+    d = _ckpt_dir(checkpoint_dir, "entitymap")
+    with open(os.path.join(d, "_MANIFEST.json")) as f:
+        rows = json.load(f)["rows"]
+    if rows > canonicalize.DRIVER_LINK_THRESHOLD:
+        return read_checkpoint(checkpoint_dir, "entitymap")
+    t = pq.read_table(d)  # skips the _-prefixed manifest
+    return dict(zip(t["norm"].to_pylist(), t["label"].to_pylist()))
+
+
 def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                      wave_size: int = 4,
                      concurrency: int | tuple | None = None,
-                     max_waves: int | None = None, n_salts: int = 1,
+                     max_waves: int | None = None,
                      skip_empty_literals: bool = True, repeat: int = 1,
                      crash_after_entitymap: bool = False):
     """Resumable flagship run: the pages shards are processed in waves of
@@ -178,12 +159,16 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
     simulate the crash; ``crash_after_entitymap`` simulates the OTHER
     crash boundary — right after the entity-map checkpoint commits,
     before resolve). After extraction, canonicalize/dedup run over
-    the union of committed groups. Returns the final quads Dataset, or
-    None if the run "crashed" at either boundary. ``repeat`` scales the
-    synthesized corpus (×N copies) for stress runs."""
+    the union of committed groups, on the same entity-map route as
+    ``run_kg``.
+    Returns the final quads Dataset, or None if the run "crashed" at
+    either boundary. ``repeat`` scales the synthesized corpus (×N
+    copies) for stress runs."""
     from ..state.lineage import (checkpoint_exists, checkpoint_quads,
                                  committed_groups, merge_lineage,
                                  new_collector, read_all_groups)
+    # imported per call, not bound at module import: a caller may
+    # re-point the pages cache by patching sources.pages.synthesize_pages
     from ..sources.pages import synthesize_pages
 
     # driver-owned lineage collector; its handle is passed into the stage
@@ -242,24 +227,24 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
         done += 1
     merge_lineage(checkpoint_dir, stage="extract")
     raw = read_all_groups(checkpoint_dir, "extract")
-    alias = build_alias_table()
     # mid-pipeline resume continues PAST extraction: the entity map (the
-    # second expensive phase) is itself an atomic checkpoint — a crash
-    # between map-build and resolve re-reads it instead of re-linking.
-    # Uses the Dataset-native map path (checkpoint = parquet of
-    # (norm, label)), proven equivalent to the broadcast-dict path.
-    from ..stages.canonicalize import (build_entity_map_ds,
-                                       resolve_quads_join_ds)
-    from ..state.lineage import read_checkpoint
-
+    # second expensive phase) is itself an atomic checkpoint of
+    # (norm, label) rows, whichever form build_entity_map returned — a
+    # crash between map-build and resolve re-reads it instead of
+    # re-linking.
     if not checkpoint_exists(checkpoint_dir, "entitymap"):
-        mapping_ds = build_entity_map_ds(raw, alias, n_salts=n_salts)
-        checkpoint_quads(mapping_ds, checkpoint_dir, stage="entitymap")
+        mapping = build_entity_map(raw, build_alias_table())
+        if isinstance(mapping, dict):
+            import ray.data as rd
+
+            mapping = rd.from_arrow(pa.table(
+                {"norm": pa.array(list(mapping), pa.string()),
+                 "label": pa.array(list(mapping.values()), pa.string())}))
+        checkpoint_quads(mapping, checkpoint_dir, stage="entitymap")
         if crash_after_entitymap:
             return None  # simulated crash between map build and resolve
-    mapping_ds = read_checkpoint(checkpoint_dir, stage="entitymap")
-    resolved = resolve_quads_join_ds(raw, mapping_ds)
-    return dedup_quads(resolved)
+    mapping = _read_entity_map(checkpoint_dir)
+    return dedup_quads(resolve_quads(raw, mapping))
 
 
 def adjacency_table(quads_ds, n_parts: int | None = None):
@@ -836,7 +821,7 @@ def pred_stats(facts_ds, n_parts: int | None = None):
             .groupby("pred").map_groups(fold, batch_format="pandas"))
 
 
-def entity_cards(facts_ds, mentions_ds, pages_ds, mapping: dict[str, str],
+def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
                  n_parts: int | None = None):
     """KNOWLEDGE-PANEL MATERIALIZATION: one card per canonical entity —
     mention volume, distinct mentioning pages, first/last fetch time,
@@ -846,9 +831,14 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping: dict[str, str],
     triple stream, so the card assembly is the step after it.
 
     Shape: mention norms resolve through the broadcast canonical map
-    (``ray.put`` once, misses skolemize — same contract as
-    `resolve_quads`); page fetch times attach via ONE url-hash
-    tag-union exchange (the pages table STREAMS, never broadcast);
+    (``ray.put`` once, misses skolemize — the lookup `resolve_quads`
+    broadcasts with). A (norm, label) mapping Dataset, which
+    `build_entity_map` returns only above ``DRIVER_LINK_THRESHOLD``
+    norms, is collected onto the driver into that dict first: the map
+    this stage broadcasts is driver-sized whatever route built it, so
+    above the threshold it gives up the Dataset route's no-``take_all``
+    bound (there is no join form of this stage yet). Page fetch
+    times attach via ONE url-hash tag-union exchange (the pages table STREAMS, never broadcast);
     fact in/out degrees and per-predicate counts ride per-batch
     combiners. Everything then meets in ONE entity-hash tag-union
     exchange whose per-partition assemble is exact (colocation makes
@@ -864,18 +854,15 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping: dict[str, str],
     import ray
 
     from ..functions.hashing import fast_part_hash
-    from ..functions.normalize import skolem_iri
     from ..runtime import default_parts
+    from ..stages.canonicalize import canonical_ids
     n_parts = n_parts or default_parts(1.0)
+    if not isinstance(mapping, dict):
+        mapping = {r["norm"]: r["label"] for r in mapping.take_all()}
     map_ref = ray.put(mapping)
 
     def tag_m(t: pa.Table) -> pa.Table:
-        m = ray.get(map_ref)
-        codes, uniq = pd.factorize(t["norm"].to_pandas())
-        resolved = np.array([m.get(u, skolem_iri(u)) for u in uniq],
-                            dtype=object)
-        ent = (pa.array(resolved[codes], pa.string()) if len(uniq)
-               else pa.array([], pa.string()))
+        ent = canonical_ids(t["norm"], ray.get(map_ref), prefix="")
         g = (pa.table({"url": t["src_url"], "entity": ent,
                        "n": pa.array(np.ones(t.num_rows, np.int64))})
              .group_by(["url", "entity"]).aggregate([("n", "sum")]))

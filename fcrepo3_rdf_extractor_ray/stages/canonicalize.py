@@ -1,24 +1,23 @@
 """Entity canonicalization — the wide shuffle stage (north rule).
 
-Flow (SURVEY.md §7.1 step 5):
+One route (SURVEY.md §7.1 step 5), ``build_entity_map`` then
+``resolve_quads``:
 
 1. per-batch combiner: unique normalized surfaces → (norm, sip64) —
-   bounds every shuffle key to ≤ #blocks rows before the exchange;
-2. salted groupby on the SipHash-64 key (explicit skew handling for head
-   entities: ``salt = sip64(src-dependent) % n_salts``, two-phase
-   aggregate — min-ID is associative so partial→final is exact);
+   bounds every shuffle key to ≤ #blocks rows before the exchange, so a
+   head entity needs no salt split;
+2. one exchange on the SipHash-64 key, per-partition Arrow distinct;
 3. alias-dictionary + embedding linking (broadcast small side via
    ``ray.put`` once, read per actor in ``__init__`` — never re-shipped
    per batch);
 4. min-ID union-find cluster resolution across keys (two surfaces linked
    to one entity merge; cluster id = lexicographic min candidate IRI).
-   Cluster edges are (norm, candidate) pairs — #unique-entities scale,
-   tiny next to the corpus — resolved driver-side; the iterate-to-
-   fixpoint Dataset variant is the stated 100TB path (SURVEY.md §7.4).
-5. resolution map applied back to quads either as a broadcast lookup
-   (default; mapping ≈ #entities) or a Ray-native hash join
-   (``resolve_quads_join`` — the at-scale path when the map outgrows a
-   worker's heap).
+   At or below ``DRIVER_LINK_THRESHOLD`` distinct norms, linking and
+   union-find run on the driver and the map is a dict; above it they run
+   distributed (actor-pool link, contraction union-find) and the map is
+   a (norm, label) Dataset that never reaches the driver (SURVEY.md §7.4);
+5. ``resolve_quads`` applies either form back to the quads: a dict as a
+   broadcast lookup, a Dataset as two co-partitioned tag-union merges.
 """
 
 from __future__ import annotations
@@ -33,6 +32,11 @@ from ..runtime import pool as _pool
 from ..functions.hashing import siphash64_batch
 from ..functions.normalize import skolem_iri
 from .extract import SURF_PREFIX
+
+# Distinct-norm count at or below which build_entity_map links on the
+# driver and returns a dict; read at call time, so one assignment moves
+# every entry point.
+DRIVER_LINK_THRESHOLD = 100_000
 
 
 def _batch_unique_norms(t: pa.Table) -> pa.Table:
@@ -55,42 +59,29 @@ def _batch_unique_norms(t: pa.Table) -> pa.Table:
     })
 
 
-def unique_norms(quads_ds, n_salts: int = 1, n_parts: int | None = None):
-    """Distinct (norm, sip64) via salted partition-grouped distinct.
+def unique_norms(quads_ds):
+    """Distinct (norm, sip64) via one partition-grouped distinct.
 
-    Shuffle key = ``sip64 mod n_parts`` (same key must co-locate); the
-    per-partition distinct is a vectorized Arrow group_by — one Python
-    call per partition, never per key. With ``n_salts > 1`` a first
-    exchange on (part, salt) splits a head key's duplicate rows across
-    salts (distinct is idempotent, so two-phase is exact); the combiner
-    in ``_batch_unique_norms`` already bounds duplicates to ≤ #blocks."""
+    Shuffle key = ``sip64 mod default_parts(0.5)`` (same key must
+    co-locate); the per-partition distinct is a vectorized Arrow
+    group_by — one Python call per partition, never per key. The
+    combiner in ``_batch_unique_norms`` already bounds a head norm's
+    duplicates to ≤ #blocks rows."""
     from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
-    ds = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
+    n_parts = default_parts(0.5)
 
-    def add_part_salt(t: pa.Table) -> pa.Table:
+    def add_part(t: pa.Table) -> pa.Table:
         part = pc.cast(pc.bit_wise_and(t["sip64"], n_parts - 1), pa.int32())
-        t = t.append_column("part", part)
-        salt = np.arange(t.num_rows, dtype=np.int64) % n_salts
-        return t.append_column("salt", pa.array(salt.astype(np.int32)))
+        return t.append_column("part", part)
 
-    def distinct(keys):
-        def fn(t: pa.Table) -> pa.Table:
-            g = t.group_by(keys + ["sip64", "norm"]).aggregate([])
-            return g.rename_columns(keys + ["sip64", "norm"])
+    def distinct(t: pa.Table) -> pa.Table:
+        g = t.group_by(["part", "sip64", "norm"]).aggregate([])
+        return g.rename_columns(["part", "sip64", "norm"])
 
-        return fn
-
-    ds = ds.map_batches(add_part_salt, batch_format="pyarrow")
+    ds = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
+    ds = ds.map_batches(add_part, batch_format="pyarrow")
     ds = ds.repartition(n_parts)
-    if n_salts > 1:
-        ds = ds.groupby(["part", "salt"]).map_groups(
-            distinct(["part", "salt"]), batch_format="pyarrow"
-        ).drop_columns(["salt"])
-    else:
-        ds = ds.drop_columns(["salt"])
-    ds = ds.groupby(["part"]).map_groups(distinct(["part"]),
-                                         batch_format="pyarrow")
+    ds = ds.groupby(["part"]).map_groups(distinct, batch_format="pyarrow")
     return ds.select_columns(["norm", "sip64"])
 
 
@@ -224,8 +215,7 @@ def _safe_join_partitions(small_side_count: int, cap: int = 64) -> int:
     return max(1, min(cap, 2 * cluster_cpus(), small_side_count // 64))
 
 
-def union_find_labels_ds(edges_ds, max_iters: int = 16,
-                         num_partitions: int | None = None):
+def union_find_labels_ds(edges_ds):
     """Distributed min-ID cluster resolution over the bipartite
     (norm, candidate) edge Dataset — the at-scale path promised in
     SURVEY.md §7.4 for when the edge list outgrows the driver.
@@ -239,12 +229,7 @@ def union_find_labels_ds(edges_ds, max_iters: int = 16,
     ``c:<min candidate id>`` — exactly the min-ID label the driver-side
     ``union_find_min_id`` computes (equivalence-tested).
 
-    Returns the (norm, label) Dataset — fully driver-free; feed it to
-    ``resolve_quads_join_ds`` to keep the whole resolve path streaming.
-
-    ``max_iters`` is accepted for API compatibility but unused — the
-    contraction scheme's exactness does not depend on iteration count."""
-    del max_iters  # contraction UF is exact in a fixed number of passes
+    Returns the (norm, label) Dataset — fully driver-free."""
     from .graph import connected_components
 
     def tag(t: pa.Table) -> pa.Table:
@@ -257,9 +242,7 @@ def union_find_labels_ds(edges_ds, max_iters: int = 16,
 
     cc = connected_components(
         edges_ds.map_batches(tag, batch_format="pyarrow"),
-        a_col="a", b_col="b",
-        n_parts=num_partitions)  # None → connected_components derives
-                                 # the count from the cluster size
+        a_col="a", b_col="b")
 
     def out(t: pa.Table) -> pa.Table:
         mask = pc.starts_with(t["node"], "n:")
@@ -272,65 +255,23 @@ def union_find_labels_ds(edges_ds, max_iters: int = 16,
     return cc.map_batches(out, batch_format="pyarrow")
 
 
-def union_find_min_id_dataset(edges_ds, max_iters: int = 16,
-                              num_partitions: int | None = None
-                              ) -> dict[str, str]:
-    """Dict-returning wrapper over ``union_find_labels_ds`` for callers
-    that broadcast the map (small-scale fast path)."""
-    rows = union_find_labels_ds(edges_ds, max_iters=max_iters,
-                                num_partitions=num_partitions).take_all()
-    return {r["norm"]: r["label"] for r in rows}
-
-
-def build_entity_map(quads_ds, alias_table: pa.Table, n_salts: int = 1,
-                     driver_link_threshold: int = 100_000) -> dict[str, str]:
+def build_entity_map(quads_ds, alias_table: pa.Table,
+                     driver_link_threshold: int | None = None):
     """norm → canonical IRI for every unresolved surface in ``quads_ds``.
 
-    The distinct-norms set is #unique-entities scale. At or below
-    ``driver_link_threshold`` norms, alias linking AND union-find run on
-    the driver (no actor pool spin-up for a dictionary lookup); above
-    it, linking runs as a distributed actor-pool stage and the min-ID
-    resolution as the distributed contraction union-find
-    (``union_find_labels_ds``) — the driver only receives the FINAL
-    (norm → label) map, which a dict return inherently requires. Callers
-    that can consume a mapping Dataset should use
-    ``build_entity_map_auto`` instead: above the threshold it never
-    collects anything."""
-    norms_ds = unique_norms(quads_ds, n_salts=n_salts).materialize()
-    alias_ref = ray.put(alias_table)
-    if norms_ds.count() <= driver_link_threshold:
-        norm_rows = norms_ds.take_all()
-        stage = AliasLinkStage(alias_ref)
-        tbl = pa.table({"norm": pa.array([r["norm"] for r in norm_rows],
-                                         pa.string())})
-        linked_tbl = stage(tbl)
-        pairs = list(zip(linked_tbl["norm"].to_pylist(),
-                         linked_tbl["candidate_id"].to_pylist()))
-        # The edge list is small; driver-side union-find is the
-        # documented design (SURVEY.md §7.4).
-        return union_find_min_id(pairs)
-    linked = norms_ds.map_batches(
-        AliasLinkStage,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
-        batch_format="pyarrow",
-        concurrency=_pool(0.5),
-    )
-    return {r["norm"]: r["label"]
-            for r in union_find_labels_ds(linked).take_all()}
-
-
-def build_entity_map_auto(quads_ds, alias_table: pa.Table,
-                          n_salts: int = 1,
-                          driver_link_threshold: int = 100_000):
-    """AUTO-ROUTED entity map (the ``minhash_clusters`` switch pattern):
-    count the distinct norms once; at or below
-    ``driver_link_threshold`` return the driver dict (pair it with the
-    ``resolve_quads`` broadcast — lowest latency at entity scale),
-    above it return the (norm, label) mapping DATASET built fully
-    distributed (actor-pool linking → contraction union-find) with NO
-    ``take_all`` anywhere — pair it with ``resolve_quads_join_ds``.
-    ``resolve_quads_auto`` dispatches on the return type."""
-    norms_ds = unique_norms(quads_ds, n_salts=n_salts).materialize()
+    Counts the distinct norms once (the ``minhash_clusters`` switch
+    pattern). At or below ``driver_link_threshold`` (default
+    ``DRIVER_LINK_THRESHOLD``) alias linking and union-find run on the
+    driver (no actor pool spin-up for a dictionary lookup) and the result
+    is a dict. Above it, linking runs as an
+    actor-pool stage and min-ID resolution as the contraction union-find
+    (``union_find_labels_ds``); the result is the lazy (norm, label)
+    Dataset, with no ``take_all`` anywhere. ``driver_link_threshold=0``
+    sends any non-empty map down the Dataset route. ``resolve_quads``
+    accepts either form."""
+    if driver_link_threshold is None:
+        driver_link_threshold = DRIVER_LINK_THRESHOLD
+    norms_ds = unique_norms(quads_ds).materialize()
     alias_ref = ray.put(alias_table)
     if norms_ds.count() <= driver_link_threshold:
         norm_rows = norms_ds.take_all()
@@ -350,43 +291,18 @@ def build_entity_map_auto(quads_ds, alias_table: pa.Table,
     return union_find_labels_ds(linked)
 
 
-def resolve_quads_auto(quads_ds, mapping):
-    """Dispatch on ``build_entity_map_auto``'s return type: driver dict
-    → broadcast ``resolve_quads``; mapping Dataset →
-    ``resolve_quads_join_ds`` (co-partitioned tag-union merges)."""
-    if isinstance(mapping, dict):
-        return resolve_quads(quads_ds, mapping)
-    return resolve_quads_join_ds(quads_ds, mapping)
-
-
-def build_entity_map_ds(quads_ds, alias_table: pa.Table, n_salts: int = 1):
-    """Dataset form of ``build_entity_map`` — the 100-TB path: unique
-    norms → alias/embedding linking (actor pool, broadcast dictionary) →
-    distributed min-ID fixpoint, all as Datasets with NO driver-side
-    collection anywhere. Returns the (norm, label) mapping Dataset; feed
-    it to ``resolve_quads_join_ds``."""
-    norms_ds = unique_norms(quads_ds, n_salts=n_salts)
-    alias_ref = ray.put(alias_table)
-    linked = norms_ds.map_batches(
-        AliasLinkStage,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
-        batch_format="pyarrow",
-        concurrency=_pool(0.5),
-    )
-    return union_find_labels_ds(linked)
-
-
-def _resolve_col(col: pa.ChunkedArray, mapping: dict[str, str]) -> pa.Array:
-    """Rewrite surf:-prefixed values through the canonical map. Works on
-    the factorized uniques (entity surfaces repeat heavily per batch) —
-    the per-row path is a vectorized take."""
-    import pandas as pd
-
+def canonical_ids(col, mapping: dict[str, str],
+                  prefix: str = SURF_PREFIX) -> pa.Array:
+    """Rewrite ``prefix``-led values through the canonical map (a miss
+    skolemizes the norm); other values pass through. With ``prefix=""``
+    every value is a bare norm. Works on the factorized uniques (entity
+    surfaces repeat heavily per batch) — the per-row path is a
+    vectorized take."""
     codes, uniques = pd.factorize(col.to_pandas())
-    plen = len(SURF_PREFIX)
+    plen = len(prefix)
     resolved = np.array(
         [mapping.get(u[plen:], skolem_iri(u[plen:]))
-         if u.startswith(SURF_PREFIX) else u
+         if u.startswith(prefix) else u
          for u in uniques],
         dtype=object,
     )
@@ -395,47 +311,46 @@ def _resolve_col(col: pa.ChunkedArray, mapping: dict[str, str]) -> pa.Array:
     return pa.array(resolved[codes], pa.string())
 
 
-def resolve_quads(quads_ds, mapping: dict[str, str]):
-    """Broadcast-apply the canonical map: ``ray.put`` once, each task
-    reads the object-store ref zero-copy (never re-shipped per batch).
-    A stateless task closure, not an actor pool — a dict lookup has no
-    per-worker setup worth paying actor spin-up for, and tasks reuse the
-    already-warm worker processes."""
+def resolve_quads(quads_ds, mapping):
+    """Apply what ``build_entity_map`` returned to the quads' subj/obj.
+
+    A driver dict is broadcast: ``ray.put`` once, each task reads the
+    object-store ref zero-copy (never re-shipped per batch). A stateless
+    task closure, not an actor pool — a dict lookup has no per-worker
+    setup worth paying actor spin-up for, and tasks reuse the
+    already-warm worker processes.
+
+    A (norm, label) Dataset is joined instead (``_resolve_join``), so
+    the map never reaches the driver. Both give the same quads when the
+    mapping was built from the same quads (tested for equivalence)."""
+    if not isinstance(mapping, dict):
+        return _resolve_join(quads_ds, mapping)
     map_ref = ray.put(mapping)
 
     def resolver(t: pa.Table) -> pa.Table:
         m = ray.get(map_ref)
         t = t.set_column(t.schema.get_field_index("subj"), "subj",
-                         _resolve_col(t["subj"], m))
+                         canonical_ids(t["subj"], m))
         t = t.set_column(t.schema.get_field_index("obj"), "obj",
-                         _resolve_col(t["obj"], m))
+                         canonical_ids(t["obj"], m))
         return t
 
     return quads_ds.map_batches(resolver, batch_format="pyarrow")
 
 
-def resolve_quads_join_ds(quads_ds, mapping_ds, num_partitions: int | None = None):
-    """At-scale path: resolve against the (norm, label) mapping DATASET —
-    no driver dict anywhere, so the whole unique-norms → link →
-    union-find → resolve chain streams end-to-end. Semantically
-    identical to ``resolve_quads`` when every surface has a mapping
-    entry (always true when the mapping was built from the same quads —
-    tested for equivalence).
-
-    Two co-partitioned TAG-UNION merges (key = surf-prefixed subj, then
-    obj): both sides hash-partition on the key and each partition
+def _resolve_join(quads_ds, mapping_ds):
+    """Resolve against the (norm, label) mapping DATASET: two
+    co-partitioned TAG-UNION merges (key = surf-prefixed subj, then
+    obj). Both sides hash-partition on the key and each partition
     resolves with pure Arrow kernels (index_in + take + coalesce — the
     quad stream never converts to pandas objects). Equal wall time to
-    the earlier Ray hash joins at sf0.1, but drops their sentinel-pad
-    workaround for the 2.49 empty-mapping-partition crash and their
-    per-partition aggregator actors; exchange count is the same (the
-    quads stream moves twice either way)."""
+    Ray hash joins at sf0.1, without their sentinel-pad workaround for
+    the 2.49 empty-mapping-partition crash or their per-partition
+    aggregator actors; the quads stream moves twice either way."""
     from ..functions.hashing import fast_part_hash
     from ..runtime import cluster_cpus
 
-    if num_partitions is None:
-        num_partitions = max(16, min(64, 2 * cluster_cpus()))
-    P = num_partitions
+    P = max(16, min(64, 2 * cluster_cpus()))
     mapping_ds = mapping_ds.select_columns(["norm", "label"]).materialize()
 
     quad_cols = ("graph", "subj", "pred", "obj", "obj_is_literal",
@@ -481,16 +396,18 @@ def resolve_quads_join_ds(quads_ds, mapping_ds, num_partitions: int | None = Non
     return resolve_on(resolve_on(quads_ds, "subj"), "obj")
 
 
-def resolve_quads_join(quads_ds, mapping: dict[str, str],
-                       num_partitions: int | None = None):
-    """Dict-input wrapper over ``resolve_quads_join_ds`` (kept for callers
-    holding a driver-side map; the Dataset form is the at-scale path)."""
-    import ray.data as rd
+# ---------------------------------------------------------------------------
+# Benchmark compatibility: kgbench/jobs.py imports these four names and
+# passes n_salts=1, which is ignored. Delete this block in the next change
+# to the benchmark.
 
-    items = sorted(mapping.items())
-    mapping_ds = rd.from_arrow(pa.table({
-        "norm": pa.array([k for k, _ in items], pa.string()),
-        "label": pa.array([v for _, v in items], pa.string()),
-    }))
-    return resolve_quads_join_ds(quads_ds, mapping_ds,
-                                 num_partitions=num_partitions)
+def build_entity_map_auto(quads_ds, alias_table, n_salts=1,
+                          driver_link_threshold=None):
+    return build_entity_map(quads_ds, alias_table, driver_link_threshold)
+
+
+def build_entity_map_ds(quads_ds, alias_table, n_salts=1):
+    return build_entity_map(quads_ds, alias_table, driver_link_threshold=-1)
+
+
+resolve_quads_auto = resolve_quads_join_ds = resolve_quads

@@ -1,6 +1,7 @@
-"""Canonicalization shuffle: union-find min-ID semantics, broadcast vs
-join resolution equivalence, salt-split associativity (FIXTURES.md
-'salt-split min-ID associativity')."""
+"""Canonicalization shuffle: union-find min-ID semantics, equivalence of
+the driver-dict (broadcast) and Dataset (join) routes of the one
+entity-map build, and block-split invariance of the per-block combiner
+(FIXTURES.md 'block-split min-ID associativity')."""
 
 import pyarrow as pa
 
@@ -9,7 +10,6 @@ from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
 from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
     build_entity_map,
     resolve_quads,
-    resolve_quads_join,
     union_find_min_id,
 )
 
@@ -46,13 +46,18 @@ def test_build_map_and_resolve_broadcast_vs_join():
     import ray.data as rd
 
     ds = rd.from_arrow(_raw_quads()).repartition(3)
-    mapping = build_entity_map(ds, build_alias_table(), n_salts=2)
+    mapping = build_entity_map(ds, build_alias_table())
+    assert isinstance(mapping, dict)
     assert mapping["entity7"] == "ent:e7"
     assert mapping["theentity7"] == "ent:e7"  # cross-key union-find merge
     assert mapping["widget3"] == "ent:sk:widget3"
 
     a = resolve_quads(ds, mapping).take_all()
-    b = resolve_quads_join(ds, mapping, num_partitions=2).take_all()
+    # threshold 0: the same build takes its Dataset route, resolved by join
+    mapping_ds = build_entity_map(ds, build_alias_table(),
+                                  driver_link_threshold=0)
+    assert not isinstance(mapping_ds, dict)
+    b = resolve_quads(ds, mapping_ds).take_all()
     key = lambda r: tuple(sorted(r.items()))
     assert sorted(map(key, a)) == sorted(map(key, b))
     subs = {r["subj"] for r in a}
@@ -90,7 +95,7 @@ def test_union_find_dataset_matches_driver():
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        union_find_min_id_dataset)
+        union_find_labels_ds)
 
     pairs = [
         ("entity7", "ent:e7"),
@@ -105,7 +110,8 @@ def test_union_find_dataset_matches_driver():
     want = union_find_min_id(pairs)
     edges = rd.from_items(
         [{"norm": n, "candidate_id": c} for n, c in pairs]).repartition(3)
-    got = union_find_min_id_dataset(edges)
+    got = {r["norm"]: r["label"]
+           for r in union_find_labels_ds(edges).take_all()}
     assert got == want
     assert got["x"] == "ent:c8" and got["z"] == "ent:c8"
 
@@ -129,14 +135,11 @@ def test_salt_split_invariance():
 
 
 def test_dataset_entity_map_path_matches_driver_dict(sf_dir):
-    """The fully-driver-free path (build_entity_map_ds →
-    resolve_quads_join_ds, no take_all anywhere) must produce the same
-    quad set as the broadcast-dict path."""
+    """The fully-driver-free route (build_entity_map above its threshold
+    → join resolve, no take_all anywhere) must produce the same quad set
+    as the broadcast-dict route."""
     from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, build_entity_map_ds, resolve_quads,
-        resolve_quads_join_ds)
     from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_batch
 
     raw = pages_for_sf(sf_dir).map_batches(
@@ -146,8 +149,9 @@ def test_dataset_entity_map_path_matches_driver_dict(sf_dir):
     mapping = build_entity_map(raw, alias)
     want = resolve_quads(raw, mapping).take_all()
 
-    mapping_ds = build_entity_map_ds(raw, alias)
-    got = resolve_quads_join_ds(raw, mapping_ds).take_all()
+    mapping_ds = build_entity_map(raw, alias, driver_link_threshold=0)
+    assert not isinstance(mapping_ds, dict)
+    got = resolve_quads(raw, mapping_ds).take_all()
 
     key = lambda r: tuple(sorted(r.items()))
     assert sorted(map(key, got)) == sorted(map(key, want))

@@ -99,6 +99,42 @@ def test_crash_between_entitymap_and_resolve(sf_dir, ckpt_dir):
             os.path.join(ex_root, g, "_MANIFEST.json")) == mt
 
 
+def test_resume_above_threshold_matches_run_kg(sf_dir, ckpt_dir,
+                                               monkeypatch):
+    """With the norm threshold lowered to 0 the resumable run builds the
+    entity map on its Dataset route (actor-pool link, distributed
+    union-find), checkpoints it, crashes right after that checkpoint, and
+    resolves the read-back Dataset by join on resume. The result must
+    equal run_kg, which takes the driver-dict route at sf0.001."""
+    from fcrepo3_rdf_extractor_ray.pipelines import kg
+    from fcrepo3_rdf_extractor_ray.stages import canonicalize
+
+    calls = []
+    labels_ds = canonicalize.union_find_labels_ds
+    monkeypatch.setattr(canonicalize, "union_find_labels_ds",
+                        lambda edges: calls.append(1) or labels_ds(edges))
+    default = canonicalize.DRIVER_LINK_THRESHOLD
+    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", 0)
+
+    out = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4,
+                           crash_after_entitymap=True)
+    assert out is None
+    assert calls == [1]  # the distributed union-find built the map
+    assert not isinstance(kg._read_entity_map(ckpt_dir), dict)
+    # the same checkpoint reads back as the driver dict at the default
+    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", default)
+    mapping = kg._read_entity_map(ckpt_dir)
+    assert isinstance(mapping, dict) and mapping
+    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", 0)
+
+    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
+    assert calls == [1]  # resume re-read the map instead of rebuilding
+    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", default)
+    want = run_kg(sf_dir).take_all()
+    key = lambda r: tuple(sorted(r.items()))
+    assert sorted(map(key, rows)) == sorted(map(key, want))
+
+
 def test_entitymap_checkpoint_reused(sf_dir, ckpt_dir):
     """Mid-pipeline resume: the entity map commits as its own atomic
     checkpoint; a re-invocation reuses it (same mtime) instead of

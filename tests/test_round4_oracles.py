@@ -581,6 +581,11 @@ def test_entity_cards_fusion_semantics(ray_session):
             gh["last_us"]) == (1, 1, 0, 0)
     # literal objects never become cards
     assert "lit" not in got and len(got) == 4
+    # the (norm, label) Dataset that build_entity_map returns above its
+    # threshold gives the same cards as the dict
+    mapping_ds = rd.from_items([{"norm": "alpha", "label": "ent:a"}])
+    assert {r["entity"]: r for r in entity_cards(
+        facts, mentions, pages, mapping_ds).take_all()} == got
 
 
 def test_modularity_two_cliques(ray_session):

@@ -77,42 +77,39 @@ def _planted_quads():
 
 
 def test_entity_map_auto_routes_above_threshold(ray_session):
-    """Above the norm threshold, build_entity_map_auto returns a
-    mapping DATASET (no take_all anywhere) and resolve_quads_auto
-    produces the same quad set as the driver-dict path (VERDICT r04
-    ask #8)."""
+    """Above the norm threshold, build_entity_map returns a mapping
+    DATASET (no take_all anywhere) and resolve_quads produces the same
+    quad set from it as from the driver dict (VERDICT r04 ask #8)."""
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
     from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, build_entity_map_auto, resolve_quads,
-        resolve_quads_auto)
+        build_entity_map, resolve_quads)
 
     ds = rd.from_arrow(_planted_quads()).repartition(3)
     alias = build_alias_table()
 
-    mapping = build_entity_map(ds, alias, n_salts=2)
+    mapping = build_entity_map(ds, alias)
+    assert isinstance(mapping, dict) and len(mapping) == 5
     want = resolve_quads(ds, mapping).take_all()
 
     # 5 distinct norms > threshold 2 -> the Dataset route
-    auto = build_entity_map_auto(ds, alias, n_salts=2,
-                                 driver_link_threshold=2)
+    auto = build_entity_map(ds, alias, driver_link_threshold=2)
     assert not isinstance(auto, dict)
-    got = resolve_quads_auto(ds, auto).take_all()
+    got = resolve_quads(ds, auto).take_all()
 
     key = lambda r: tuple(sorted(r.items()))
     assert sorted(map(key, got)) == sorted(map(key, want))
 
     # at/below threshold the dict route engages and matches too
-    auto_small = build_entity_map_auto(ds, alias, n_salts=2,
-                                       driver_link_threshold=10_000)
+    auto_small = build_entity_map(ds, alias, driver_link_threshold=5)
     assert auto_small == mapping
 
 
 def test_entity_map_dict_above_threshold_uses_distributed_uf(ray_session):
-    """build_entity_map's own above-threshold branch (dict return)
-    now routes linking + union-find through the distributed path and
-    still matches the driver union-find."""
+    """build_entity_map's above-threshold branch routes linking +
+    union-find through the distributed path; its (norm, label) rows
+    match the driver union-find's dict."""
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
@@ -121,9 +118,9 @@ def test_entity_map_dict_above_threshold_uses_distributed_uf(ray_session):
 
     ds = rd.from_arrow(_planted_quads()).repartition(3)
     alias = build_alias_table()
-    want = build_entity_map(ds, alias, n_salts=2)
-    got = build_entity_map(ds, alias, n_salts=2, driver_link_threshold=2)
-    assert got == want
+    want = build_entity_map(ds, alias)
+    got = build_entity_map(ds, alias, driver_link_threshold=2)
+    assert {r["norm"]: r["label"] for r in got.take_all()} == want
 
 
 def test_parse_boundary_fuzz(ray_session, sf_dir):
