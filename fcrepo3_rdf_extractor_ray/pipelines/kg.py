@@ -8,8 +8,8 @@ sorted materialization):
 
     read_parquet(pages, columns pruned — never the golden `text` column)
       → map_batches(extract_quads_batch)                # parse once/page
-        (task form; the resumable run uses the ExtractQuadsStage actor
-        pool, which reports lineage)
+        (task form; the resumable run's waves run the same kernel as
+        write tasks that checkpoint the quads and return lineage rows)
       → [checkpoint boundary: raw quads]                # html long gone
       → build_entity_map (combiner + sip64 distinct, alias link,
         min-ID union-find: a driver dict up to the norm threshold, a
@@ -25,6 +25,9 @@ sorted materialization):
 and canonicalization (raw quads are a small fraction of the html-bearing
 input); ``run_kg_resumable`` writes them, and then the entity map, to
 atomic Parquet checkpoints with lineage manifests (state/lineage.py).
+Each of its waves is one ``write_datasink`` pass of plain tasks
+(``WaveCheckpointSink``): no actor pool, and the per-block lineage rows
+travel back as the write tasks' return values.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from ray.data.datasource import Datasink
 from ..sources.pages import build_alias_table, read_pages, synthesize_pages
 from ..stages.canonicalize import build_entity_map, resolve_quads
 from ..stages.dedup import dedup_quads
-from ..stages.extract import ExtractQuadsStage
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]  # `text` (golden) pruned
 
@@ -148,13 +150,13 @@ def _read_entity_map(checkpoint_dir: str):
 
 def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                      wave_size: int = 4,
-                     concurrency: int | tuple | None = None,
                      max_waves: int | None = None,
                      skip_empty_literals: bool = True, repeat: int = 1,
                      crash_after_entitymap: bool = False):
     """Resumable flagship run: the pages shards are processed in waves of
-    ``wave_size`` files; each wave is one streaming extraction job that
-    commits an atomic per-group checkpoint with lineage. A crashed run
+    ``wave_size`` files; each wave is one streaming task-form write
+    (``WaveCheckpointSink`` over ``extract_quads_kernel``) that commits
+    an atomic per-group checkpoint with lineage. A crashed run
     re-executes only uncommitted waves (``max_waves`` exists so tests can
     simulate the crash; ``crash_after_entitymap`` simulates the OTHER
     crash boundary — right after the entity-map checkpoint commits,
@@ -164,16 +166,18 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
     Returns the final quads Dataset, or None if the run "crashed" at
     either boundary. ``repeat`` scales the synthesized corpus (×N
     copies) for stress runs."""
-    from ..state.lineage import (checkpoint_exists, checkpoint_quads,
-                                 committed_groups, merge_lineage,
-                                 new_collector, read_all_groups)
+    import functools
+
+    import ray.data as rd
+
+    from ..stages.extract import extract_quads_kernel
+    from ..state.lineage import (WaveCheckpointSink, checkpoint_exists,
+                                 checkpoint_quads, committed_groups,
+                                 merge_lineage, read_all_groups)
     # imported per call, not bound at module import: a caller may
     # re-point the pages cache by patching sources.pages.synthesize_pages
     from ..sources.pages import synthesize_pages
 
-    # driver-owned lineage collector; its handle is passed into the stage
-    # actors (driver ownership keeps it alive across pool shutdowns)
-    collector = new_collector()
     pages_dir = synthesize_pages(sf_dir, repeat=repeat)
     shard_files = sorted(os.path.join(pages_dir, f)
                          for f in os.listdir(pages_dir)
@@ -196,34 +200,19 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
     next_k = 1 + max((int(g) for g, _ in committed), default=-1)
     waves = [remaining[i:i + wave_size]
              for i in range(0, len(remaining), wave_size)]
+    extract = functools.partial(extract_quads_kernel,
+                                skip_empty_literals=skip_empty_literals)
     done = len(committed)
     for j, files in enumerate(waves):
-        group = f"{next_k + j:04d}"
         if max_waves is not None and done >= max_waves:
             return None  # simulated crash: remaining waves not run
-        import ray.data as rd
-
-        pages = rd.read_parquet(files, columns=PAGE_COLUMNS)
-        if concurrency is None:
-            from ..runtime import pool
-
-            concurrency = pool(0.75)
-        raw = pages.map_batches(
-            ExtractQuadsStage,
-            fn_constructor_kwargs={"collector": collector,
-                                   "shard_label": group,
-                                   "skip_empty_literals": skip_empty_literals},
-            batch_format="pyarrow",
-            batch_size=4096,
-            concurrency=concurrency,
-        )
         # lineage rows commit atomically WITH the wave's data (inside the
         # same rename) — a crash+resume across invocations keeps every
         # committed wave's lineage; merge_lineage below rebuilds the
         # merged file from the per-group records.
-        checkpoint_quads(raw, checkpoint_dir, stage="extract", group=group,
-                         extra_manifest={"input_files": files},
-                         collector=collector)
+        rd.read_parquet(files, columns=PAGE_COLUMNS).write_datasink(
+            WaveCheckpointSink(checkpoint_dir, "extract", f"{next_k + j:04d}",
+                               extract, {"input_files": files}))
         done += 1
     merge_lineage(checkpoint_dir, stage="extract")
     raw = read_all_groups(checkpoint_dir, "extract")
@@ -235,8 +224,6 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
     if not checkpoint_exists(checkpoint_dir, "entitymap"):
         mapping = build_entity_map(raw, build_alias_table())
         if isinstance(mapping, dict):
-            import ray.data as rd
-
             mapping = rd.from_arrow(pa.table(
                 {"norm": pa.array(list(mapping), pa.string()),
                  "label": pa.array(list(mapping.values()), pa.string())}))

@@ -1432,7 +1432,8 @@ def winnowing_fingerprints(docs_ds, k: int = 3, w: int = 4,
     order-theoretically as ``key = h·2^20 − pos`` (minimizing key ⇒
     min h, then max pos), so engine and oracle share ONE total order.
     Bound: gram index < 2^20 per doc (~1M tokens) keeps the key exact
-    in int64 — beyond that, split the doc upstream (`chunk_documents`).
+    in int64 — a longer doc raises ``ValueError``; split it upstream
+    (`chunk_documents`).
 
     Shape: per-doc work only — ONE stateless map, no exchange. md5 is
     computed once per DISTINCT gram per batch; the sliding min is a
@@ -1476,6 +1477,12 @@ def winnowing_fingerprints(docs_ds, k: int = 3, w: int = 4,
         off = np.zeros(len(df) + 1, np.int64)
         np.cumsum(ng, out=off[1:])
         pos = np.arange(len(grams), dtype=np.int64) - off[gdoc]
+        if pos.max() >= P:
+            raise ValueError(
+                f"winnowing_fingerprints: a document has {pos.max() + 1} "
+                f"{k}-grams, but the tiebreak key holds gram indices "
+                f"below 2^20; split long documents with chunk_documents "
+                f"first")
         # md5 once per distinct gram
         uniq, inv = np.unique(grams.astype("U"), return_inverse=True)
         hv = np.fromiter(

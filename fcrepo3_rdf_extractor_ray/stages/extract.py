@@ -1,20 +1,22 @@
 """Per-page extraction stages (the map core, SURVEY.md §2.2).
 
-``ExtractQuadsStage`` is the fused single-pass analog of the reference's
-``ObjectProcessor.accept`` (ObjectProcessor.java:142-177): one HTML parse
-per page emits constant page quads (M2), metadata quads (M4), and raw
-fact quads (M5) together, with per-row error containment (P4,
-ObjectProcessor.java:172-176) — a data error never fails the task, it is
-counted and the page still contributes its constant quads.
+``extract_quads_kernel`` is the fused single-pass analog of the
+reference's ``ObjectProcessor.accept`` (ObjectProcessor.java:142-177):
+one HTML parse per page emits constant page quads (M2), metadata quads
+(M4), and raw fact quads (M5) together, with per-row error containment
+(P4, ObjectProcessor.java:172-176) — a data error never fails the task,
+it is counted and the page still contributes its constant quads.
 
-It is a callable class for ``map_batches(..., concurrency=N)``: regexes
-and dictionaries are bound once per actor in ``__init__`` (the W1
-pattern — one long-lived ObjectProcessor per worker,
-ObjectProcessor.java:96-139).
+The kernel runs in three wrappers: ``extract_quads_batch`` (task form,
+``run_kg``), the resumable run's checkpoint waves (task form, which
+record the error count as lineage), and ``ExtractQuadsStage``, a
+callable class for ``map_batches(..., concurrency=N)`` that keeps a
+per-actor error counter (the W1 pattern — one long-lived
+ObjectProcessor per worker, ObjectProcessor.java:96-139).
 
 The unfused building blocks (``extract_text_batch``, ``page_quads_batch``)
 exist for composition and unit testing; the flagship pipeline uses the
-fused stage so the expensive parse happens exactly once per page.
+fused kernel so the expensive parse happens exactly once per page.
 """
 
 from __future__ import annotations
@@ -147,16 +149,15 @@ def _rows_to_quads(rows: list[tuple]) -> pa.Table:
 # ---------------------------------------------------------------------------
 # Fused stage
 
-def extract_quads_batch(batch: pa.Table,
-                        skip_empty_literals: bool = True) -> pa.Table:
-    """Stateless fused extraction (task form): the only per-worker state
-    is module-level compiled regexes, so the default pipeline runs this
-    as ordinary tasks on the long-lived warm workers — no actor-pool
-    spawn/ramp cost per run. ``ExtractQuadsStage`` (below) is the
-    actor-pool form for stages that genuinely hold state (lineage
-    reporting, and the slot where model-backed NER/OpenIE would load)."""
+def extract_quads_kernel(batch: pa.Table, skip_empty_literals: bool = True
+                         ) -> tuple[pa.Table, int]:
+    """The fused extraction of one pages batch: (quads, contained error
+    count). The one copy of the per-page containment loop, shared by
+    ``extract_quads_batch``, ``ExtractQuadsStage`` and the resumable
+    run's checkpoint waves."""
     const_quads = page_quads_batch(batch)
     rows: list[tuple] = []
+    errors = 0
     for url, html in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
         try:
             # Whole per-page derivation is inside the containment boundary:
@@ -167,19 +168,30 @@ def extract_quads_batch(batch: pa.Table,
             page_rows = list(meta_quad_rows(url, page))
             page_rows.extend(fact_quad_rows(fact_rows_for_page(url, page)))
         except Exception:
-            continue  # contained: constant quads already emitted
+            errors += 1  # contained: constant quads already emitted
+            continue
         rows.extend(page_rows)
     out = pa.concat_tables([const_quads, _rows_to_quads(rows)])
     if skip_empty_literals:
         from .filters import skip_empty_literals_table
 
         out = skip_empty_literals_table(out)
-    return out
+    return out, errors
+
+
+def extract_quads_batch(batch: pa.Table,
+                        skip_empty_literals: bool = True) -> pa.Table:
+    """Stateless fused extraction (task form): the only per-worker state
+    is module-level compiled regexes, so the default pipeline runs this
+    as ordinary tasks on the long-lived warm workers — no actor-pool
+    spawn/ramp cost per run."""
+    return extract_quads_kernel(batch, skip_empty_literals)[0]
 
 
 class ExtractQuadsStage:
     """pages batch → quads batch (constant + meta + raw-fact), one parse
-    per page, errors contained per row. Use via::
+    per page, errors contained per row and counted in ``errors``. The
+    actor form of ``extract_quads_batch``; use via::
 
         ds.map_batches(ExtractQuadsStage, batch_format="pyarrow",
                        concurrency=N, batch_size=B)
@@ -189,58 +201,31 @@ class ExtractQuadsStage:
                  collector=None, shard_label: str = "-"):
         self.skip_empty_literals = skip_empty_literals
         self.errors = 0  # per-actor data-error counter (W3 analog)
-        self.shard_label = shard_label
-        self._collector = collector  # driver-owned LineageCollector handle
+        # collector/shard_label: benchmark-twin only, see the block at the
+        # end of state/lineage.py
+        self._collector, self.shard_label = collector, shard_label
         _fact_regex()  # compile once per actor
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
+        import time
 
-        t0 = _time.perf_counter()
-        errors_before = self.errors
-        const_quads = page_quads_batch(batch)
-        rows: list[tuple] = []
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        for url, html in zip(urls, htmls):
-            try:
-                # Containment boundary covers the whole per-page derivation
-                # (parse + meta enums + facts), matching the reference's
-                # per-object catch-all (ObjectProcessor.java:172-176): a data
-                # error never fails the task, and is counted per actor.
-                page = parse_page(html)
-                page_rows = list(meta_quad_rows(url, page))
-                page_rows.extend(fact_quad_rows(fact_rows_for_page(url, page)))
-            except Exception:
-                self.errors += 1  # contained: constant quads already emitted
-                continue
-            rows.extend(page_rows)
-        out = pa.concat_tables([const_quads, _rows_to_quads(rows)])
-        if self.skip_empty_literals:
-            from .filters import skip_empty_literals_table
-
-            out = skip_empty_literals_table(out)
+        t0 = time.perf_counter()
+        out, errors = extract_quads_kernel(batch, self.skip_empty_literals)
+        self.errors += errors
         if self._collector is not None:
-            # synchronous per-batch lineage record (W3 analog): the batch
-            # completes only after the record lands, so a committed
-            # checkpoint always has its lineage (a fire-and-forget send
-            # from a dying actor pool can be dropped). One tiny message
-            # per batch; at multi-node scale shard the collector.
-            import ray
+            from ..state.lineage import report_batch
 
-            ray.get(self._collector.add.remote(
-                "extract", self.shard_label, 0, batch.num_rows,
-                out.num_rows, self.errors - errors_before,
-                (_time.perf_counter() - t0) * 1000,
-            ))
+            report_batch(self._collector, self.shard_label, batch.num_rows,
+                         out.num_rows, errors, t0)
         return out
 
 
 def extract_text_batch(batch: pa.Table, lenient: bool = False) -> pa.Table:
-    """Task form of ``ExtractTextStage`` — the parse has no per-worker
-    state beyond module-level compiled regexes, so warm-worker tasks
-    beat paying an actor-pool ramp. Same output, errors contained per
-    row (rows dropped).
+    """pages batch → (url, text) with the boilerplate-stripped main text —
+    the byte-identical-per-url invariant surface (BASELINE.json
+    input_hint). Task form: the parse has no per-worker state beyond
+    module-level compiled regexes. Malformed pages are dropped (errors
+    contained per row).
 
     ``lenient=True`` swaps in ``parse_page_lenient`` (best-effort
     real-crawl HTML: arbitrary attribute order, unclosed/uppercase
@@ -259,30 +244,6 @@ def extract_text_batch(batch: pa.Table, lenient: bool = False) -> pa.Table:
         texts.append(page.text)
     return pa.table({"url": pa.array(urls, pa.string()),
                      "text": pa.array(texts, pa.string())})
-
-
-class ExtractTextStage:
-    """pages batch → (url, text) with the boilerplate-stripped main text —
-    the byte-identical-per-url invariant surface (BASELINE.json
-    input_hint). Malformed pages are dropped (error contained per row).
-    Actor form (per-actor error counter feeds lineage); the stateless
-    task form is ``extract_text_batch``."""
-
-    def __init__(self):
-        self.errors = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls, texts = [], []
-        for url, html in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            try:
-                page = parse_page(html)
-            except PageParseError:
-                self.errors += 1
-                continue
-            urls.append(url)
-            texts.append(page.text)
-        return pa.table({"url": pa.array(urls, pa.string()),
-                         "text": pa.array(texts, pa.string())})
 
 
 def parse_pages(pages_ds, batch_size: int = 4096):

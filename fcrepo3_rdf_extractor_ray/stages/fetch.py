@@ -13,8 +13,8 @@ actor-pool stage that
   not bytes);
 - contains fetch failures per ROW: the row survives with a null payload
   and ``fetch_ok=false`` (the caller emits metadata-only triples for it,
-  exactly the reference's failure behavior), and the per-actor error
-  counter feeds lineage (W3);
+  exactly the reference's failure behavior), counted in the per-actor
+  ``errors`` counter (W3);
 - takes a pluggable ``opener`` so the same stage body serves local
   shard files (tested here), an object store, or an HTTP range client —
   the Ray-side shape (actor pool, batch grouping, containment) is the
@@ -55,19 +55,12 @@ class SecondaryFetchStage:
     Keep ``batch_size`` modest: payloads are large binaries and a batch
     must fit the worker heap (memory-aware batch sizing)."""
 
-    def __init__(self, opener=None, ref_col: str = "content_ref",
-                 collector=None, shard_label: str = "-"):
+    def __init__(self, opener=None, ref_col: str = "content_ref"):
         self.opener = opener if opener is not None else local_opener
         self.ref_col = ref_col
         self.errors = 0  # per-actor contained-failure counter (W3)
-        self._collector = collector
-        self.shard_label = shard_label
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import time as _time
-
-        t0 = _time.perf_counter()
-        errors_before = self.errors
         refs = t[self.ref_col].to_pylist()
         payloads: list[bytes | None] = [None] * len(refs)
         ok = np.zeros(len(refs), dtype=bool)
@@ -108,12 +101,4 @@ class SecondaryFetchStage:
                     pass
         out = t.append_column("payload", pa.array(payloads, pa.binary()))
         out = out.append_column("fetch_ok", pa.array(ok))
-        if self._collector is not None:
-            import ray
-
-            ray.get(self._collector.add.remote(
-                "fetch", self.shard_label, 0, t.num_rows, int(ok.sum()),
-                self.errors - errors_before,
-                (_time.perf_counter() - t0) * 1000,
-            ))
         return out

@@ -191,3 +191,110 @@ def test_resume_rejects_foreign_checkpoint(sf_dir, ckpt_dir, tmp_path):
         _json.dump(man, f)
     with pytest.raises(ValueError, match="different input shards"):
         run_kg_resumable(sf_dir, ckpt_dir, wave_size=8)
+
+
+def _page_shards(sf_dir):
+    from fcrepo3_rdf_extractor_ray.sources.pages import synthesize_pages
+
+    d = synthesize_pages(sf_dir)
+    return sorted(os.path.join(d, f) for f in os.listdir(d)
+                  if f.endswith(".parquet"))
+
+
+def test_retried_wave_write_overwrites_its_own_shards(sf_dir, tmp_path):
+    """Calling the wave sink's ``write`` again with the same blocks and
+    task index (what a Ray task retry does) leaves the same files and
+    rows in the group checkpoint, and the same lineage rows."""
+    from types import SimpleNamespace
+
+    import pyarrow.parquet as pq
+    from ray.data.datasource import WriteResult
+
+    from fcrepo3_rdf_extractor_ray.pipelines.kg import PAGE_COLUMNS
+    from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_kernel
+    from fcrepo3_rdf_extractor_ray.state.lineage import (WaveCheckpointSink,
+                                                         committed_groups)
+
+    root = str(tmp_path / "ckpt")
+    pages = pq.read_table(_page_shards(sf_dir)[0], columns=PAGE_COLUMNS)
+    blocks = [pages.slice(0, 40), pages.slice(40)]
+    sink = WaveCheckpointSink(root, "extract", "0000", extract_quads_kernel,
+                              {"input_files": ["shard"]})
+    ctx = SimpleNamespace(task_idx=3)
+
+    def listing():
+        return {f: pq.read_table(os.path.join(sink.tmp, f)).num_rows
+                for f in sorted(os.listdir(sink.tmp))}
+
+    sink.on_write_start()
+    first_rows = sink.write(blocks, ctx)
+    first = listing()
+    again = sink.write(blocks, ctx)
+    assert listing() == first
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
+                          for r in rows]
+    assert strip(again) == strip(first_rows)
+    assert len(first) == len(again) == len(blocks)
+    assert sum(first.values()) == sum(r["triple_count"] for r in again)
+
+    sink.on_write_complete(WriteResult(pages.num_rows, 0, [again]))
+    [(group, man)] = committed_groups(root, "extract")
+    assert group == "0000" and man["input_files"] == ["shard"]
+    assert {s["file"]: s["rows"] for s in man["shards"]} == first
+    assert man["rows"] == sum(first.values())
+    lt = pq.read_table(os.path.join(sink.final, "_LINEAGE.parquet"))
+    assert lt.num_rows == len(first)
+    assert lt["row_end"].to_pylist()[-1] == pages.num_rows
+    assert not os.path.exists(sink.tmp)
+
+
+def test_lineage_counts_match_pages_and_manifests(sf_dir, ckpt_dir):
+    """After a crash and resume, the merged lineage's ``error_count`` sum
+    is the number of pages ``parse_page`` rejects (counted here directly),
+    and its ``triple_count`` sum is the committed manifests' ``rows``."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from fcrepo3_rdf_extractor_ray.functions.textextract import parse_page
+    from fcrepo3_rdf_extractor_ray.state.lineage import committed_groups
+
+    bad = 0
+    for f in _page_shards(sf_dir):
+        for html in pq.read_table(f, columns=["html"])["html"].to_pylist():
+            try:
+                parse_page(html)
+            except Exception:
+                bad += 1
+    assert bad > 0
+
+    assert run_kg_resumable(sf_dir, ckpt_dir, wave_size=3,
+                            max_waves=1) is None
+    run_kg_resumable(sf_dir, ckpt_dir, wave_size=3).count()
+    lt = pq.read_table(os.path.join(ckpt_dir, "_lineage", "extract.parquet"))
+    assert pc.sum(lt["error_count"]).as_py() == bad
+    manifests = [m for _, m in committed_groups(ckpt_dir, "extract")]
+    assert len(manifests) == 3
+    assert pc.sum(lt["triple_count"]).as_py() == sum(m["rows"]
+                                                     for m in manifests)
+
+
+def test_resumable_run_needs_no_actor(sf_dir, ckpt_dir, monkeypatch):
+    """The resumable run creates no lineage collector actor and no
+    ExtractQuadsStage actor pool: with both made to raise it still
+    completes, with the run_kg result."""
+    from fcrepo3_rdf_extractor_ray.pipelines import kg
+    from fcrepo3_rdf_extractor_ray.stages import extract
+    from fcrepo3_rdf_extractor_ray.state import lineage
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the resumable run must not use this")
+
+    monkeypatch.setattr(lineage, "new_collector", forbidden)
+    monkeypatch.setattr(extract, "ExtractQuadsStage", forbidden)
+    monkeypatch.setattr(kg, "ExtractQuadsStage", forbidden, raising=False)
+    assert run_kg_resumable(sf_dir, ckpt_dir, wave_size=4,
+                            max_waves=1) is None
+    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
+    want = run_kg(sf_dir).take_all()
+    key = lambda r: tuple(sorted(r.items()))
+    assert sorted(map(key, rows)) == sorted(map(key, want))

@@ -249,6 +249,28 @@ def test_winnowing_batch_invariance(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_winnowing_gram_index_bound_raises(ray_session):
+    """The tiebreak key ``h·2^20 − pos`` needs every gram index below
+    2^20: a document with exactly 2^20 grams is fingerprinted, one with
+    a single gram more raises instead of mixing up positions."""
+    import ray.data as rd
+
+    from fcrepo3_rdf_extractor_ray.stages.dedup import (
+        winnowing_fingerprints)
+
+    def doc(n_tokens):
+        words = np.array(["ga", "bu", "zo", "meu"])
+        text = " ".join(words[np.arange(n_tokens) % 4])
+        return rd.from_arrow(pa.table({"doc_id": pa.array([1], pa.int64()),
+                                       "text": [text]}))
+
+    k = 3
+    out = winnowing_fingerprints(doc((1 << 20) + k - 1), k=k).to_pandas()
+    assert out["pos"].max() == (1 << 20) - 1
+    with pytest.raises(Exception, match="chunk_documents"):
+        winnowing_fingerprints(doc((1 << 20) + k), k=k).materialize()
+
+
 def test_host_cocitation_planted(ray_session):
     """s1 links {a,b,c}, s2 links {b,c}, s3 links {c} -> pair counts
     ab=1 ac=1 bc=2; self-loops and duplicate links never count."""
