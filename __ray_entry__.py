@@ -191,6 +191,41 @@ FROM u WHERE NOT malformed
 """
 
 
+# The web_params profile over a caller-supplied CTE u(url, host, qs) of
+# query strings (no leading '?'). Starts with a comma — append to a
+# ``WITH u AS (...)`` prefix. n_urls counts distinct urls, n_values every
+# distinct value: a url repeating a key (a=1&a=2) counts once and gives
+# both values (url_param_stats' contract).
+_PARAM_STATS_TAIL_SQL = """,
+px AS (SELECT url, host, unnest(string_split(qs, '&')) AS kv FROM u),
+kvp AS (SELECT url, host, split_part(kv, '=', 1) AS param,
+               split_part(kv, '=', 2) AS value
+        FROM px)
+SELECT param, count(DISTINCT url)::BIGINT AS n_urls,
+       count(DISTINCT host)::BIGINT AS n_hosts,
+       count(DISTINCT value)::BIGINT AS n_values,
+       starts_with(param, 'utm_') AS is_tracking
+FROM kvp GROUP BY param
+"""
+
+
+# The rel_merge MERGE over caller-supplied CTEs b(k, cents) (base) and
+# u(k, cents, op) (compacted change stream): a FULL OUTER JOIN, so a U on
+# a key absent from b upserts it as 'updated' (merge_upsert's contract).
+# Starts with a comma — append to a ``WITH b AS (...), u AS (...)``
+# prefix.
+_MERGE_TAIL_SQL = """,
+m AS (SELECT coalesce(u.k, b.k) AS k,
+             CASE WHEN u.op IN ('U', 'I') THEN u.cents
+                  ELSE b.cents END AS cents,
+             CASE WHEN u.op = 'I' THEN 'inserted'
+                  WHEN u.op = 'U' THEN 'updated'
+                  WHEN u.op = 'D' THEN NULL
+                  ELSE 'kept' END AS action
+      FROM b FULL OUTER JOIN u ON u.k = b.k)
+SELECT k, cents, action FROM m WHERE action IS NOT NULL
+"""
+
 def _pagerank_tail_sql(iters: int = 5, damping_pct: int = 85,
                        rank_scale: int = 1_000_000,
                        node_as: str = "node") -> str:
@@ -1659,27 +1694,6 @@ def _q_mm_image_resize(sf_dir: str):
     return resize_images(items)
 
 
-def _q_kg_quads_parse_once(sf_dir: str):
-    """Flagship quads via the parse-once backbone (parse_pages →
-    extract_quads_from_parsed) — byte-identical to kg_quads_all, with
-    exactly one parse_page call per page."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import run_kg_parse_once
-
-    return run_kg_parse_once(sf_dir)
-
-
-def _q_kg_mentions_parse_once(sf_dir: str):
-    """Mentions via the parse-once backbone (the fact_sentences column
-    of the parsed table) — identical rows to kg_mentions without a
-    second parse_page pass; run_kg_parse_once(with_mentions=True)
-    derives BOTH outputs from this same parsed table in one run."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
-    from fcrepo3_rdf_extractor_ray.stages.extract import parse_pages
-    from fcrepo3_rdf_extractor_ray.stages.ner import mentions_from_parsed
-
-    return mentions_from_parsed(parse_pages(pages_for_sf(sf_dir)))
-
-
 def _q_kg_extracted_text(sf_dir: str):
     from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
     from fcrepo3_rdf_extractor_ray.stages.extract import extract_text_batch
@@ -3046,9 +3060,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_harmonic": _q_kg_harmonic,
         # round-5 NEW oracle entry (quality-aware near-dup selection):
         "prep_neardup_best": _q_prep_neardup_best,
-        # round-4 driver-green entries (CORRECTNESS_r04 rows):
+        # round-4 entries with green CORRECTNESS_r04 rows; the first
+        # two close the 50-entry CORRECTNESS window (positions 48-49)
         "ta_lm_bigram": _q_ta_lm_bigram,
         "ta_readability": _q_ta_readability,
+        # positions 50-58, ta_phrase … web_params: oracle-backed and
+        # checked by tools/sweep_oracles.py and pytest, but outside the
+        # 50-entry CORRECTNESS window; moving them in would change that
+        # window's names (tests/test_registry.py pins it)
         "ta_phrase": _q_ta_phrase,
         "mm_image_hist": _q_mm_image_hist,
         "rel_watermark": _q_rel_watermark,
@@ -3114,11 +3133,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ta_lm_buckets": _q_ta_lm_buckets,
         "kg_walks": _q_kg_walks,
         "prep_mix_report": _q_prep_mix_report,
-        # positions 51+ — outside this round's 50-entry driver window
+        # outside the 50-entry CORRECTNESS window
         # (pytest + independent sf0.01 sweep cover them; every entry
         # below has at least one green driver row from rounds 1-4):
-        "kg_quads_parse_once": _q_kg_quads_parse_once,
-        "kg_mentions_parse_once": _q_kg_mentions_parse_once,
         "ta_token_bpe": _q_ta_token_bpe,
         "mm_image_resize": _q_mm_image_resize,
         "ta_split": _q_ta_split,
@@ -4937,9 +4954,8 @@ SELECT n_docs, n_tokens, n_distinct_docs,
 FROM s
 """,
     }
-    # the parse-once backbone must be byte-identical to the classic
-    # paths — same oracles, checked independently by the driver
-    d["kg_quads_parse_once"] = d["kg_quads_all"]
+    # the WARC round-trip must be byte-identical to the parquet-pages
+    # flagship — same oracle
     d["kg_quads_warc"] = d["kg_quads_all"]
     # CDX index over the WARC round-trip: rebuild the page html
     # expression-for-expression from the synthesis spec
@@ -5023,7 +5039,6 @@ FROM c WINDOW w AS (PARTITION BY urlkey ORDER BY ts, digest)
     # JSONL round-trip preserves the documents table verbatim
     d["web_jsonl"] = ("SELECT doc_id, text, lang, source, n_chars "
                       "FROM documents")
-    d["kg_mentions_parse_once"] = d["kg_mentions"]
     # aHash is all-integer over deterministic synthetic pixels, so the
     # full perceptual-hash pipeline replays in SQL: pixel formula →
     # integer luma → 8×8 block means → strict-majority bits. The pair
@@ -6172,17 +6187,7 @@ WITH u AS (
            CASE WHEN doc_id % 5 = 0
                 THEN '&sessionid=x' || doc_id::VARCHAR ELSE '' END)
              AS qs
-  FROM documents),
-px AS (SELECT url, host, unnest(string_split(qs, '&')) AS kv FROM u),
-kvp AS (SELECT url, host, split_part(kv, '=', 1) AS param,
-               split_part(kv, '=', 2) AS value
-        FROM px)
-SELECT param, count(*)::BIGINT AS n_urls,
-       count(DISTINCT host)::BIGINT AS n_hosts,
-       count(DISTINCT value)::BIGINT AS n_values,
-       starts_with(param, 'utm_') AS is_tracking
-FROM kvp GROUP BY param
-"""
+  FROM documents)""" + _PARAM_STATS_TAIL_SQL
     # star BGP: DISTINCT self-join on the shared subject
     d["kg_star"] = (_U_CTE + ", f AS (" + _FACT_QUADS_SQL + ")" + """
 SELECT DISTINCT f1.subj AS s, f1.obj AS a, f2.obj AS b
@@ -6200,17 +6205,7 @@ u AS (SELECT k, cents + 500 AS cents, 'U' AS op FROM b
       SELECT k, 0, 'D' FROM b WHERE k % 11 = 3
       UNION ALL
       SELECT k + 1000000000, (123 + k % 100)::BIGINT, 'I' FROM b
-      WHERE k % 7 = 0),
-m AS (SELECT coalesce(u.k, b.k) AS k,
-             CASE WHEN u.op IN ('U', 'I') THEN u.cents
-                  ELSE b.cents END AS cents,
-             CASE WHEN u.op = 'I' THEN 'inserted'
-                  WHEN u.op = 'U' THEN 'updated'
-                  WHEN u.op = 'D' THEN NULL
-                  ELSE 'kept' END AS action
-      FROM b FULL OUTER JOIN u ON u.k = b.k)
-SELECT k, cents, action FROM m WHERE action IS NOT NULL
-"""
+      WHERE k % 7 = 0)""" + _MERGE_TAIL_SQL
     # sameAs candidates: DISTINCT triple self-join on (pred, obj)
     # over the alias-assertion replay (_alias_facts_batch)
     d["kg_sameas"] = ("""

@@ -149,69 +149,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     kg_sec, n_triples = _flagship(sf_dir)
     timings["kg_quads_all"] = round(kg_sec, 3)
 
-    for name in ("kg_quads_parse_once", "kg_mentions_parse_once",
-                 "kg_quads_warc",
-                 "ta_token_bpe", "mm_image_resize", "ta_split", "web_url_canon", "web_dedup_canon", "kg_kcore",
-                 "rel_rolling_max", "rel_conversion_lag",
-                 "kg_extracted_text", "kg_mentions", "ta_quality",
-                 "ta_lang_id", "ta_vocab", "ta_regex_extract",
-                 "ta_group_concat", "ta_quantiles_cont", "ta_chunks",
-                 "dedup_exact", "dedup_minhash",
-                 "dedup_simhash", "dedup_jaccard", "sim_knn_brute",
-                 "sim_knn_filtered", "sim_knn_ivf",
-                 "rel_pricing_summary", "rel_top_customers",
-                 "rel_events_hourly", "rel_sessions", "rel_asof",
-                 "rel_range_join", "rel_rolling", "rel_time_window",
-                 "rel_pivot",
-                 "rel_approx_distinct", "rel_global_rank", "rel_outer_join",
-                 "kg_pagerank",
-                 "prep_corpus",
-                 "mm_image_features", "mm_frame_sample", "mm_image_decode",
-                 "mm_audio_windows",
-                 "rel_funnel", "rel_gaps", "rel_ntile", "kg_degree",
-                 "ta_repetition", "ta_bigrams", "ta_postings",
-                 "ta_feature_hash", "rel_semi_join_bloom",
-                 "rel_heavy_hitters", "rel_latest_event",
-                 "rel_hopping_window", "ta_decontam", "ta_pack",
-                 "ta_classifier", "ta_resample", "rel_intervals",
-                 "dedup_spans", "ml_kmeans", "kg_reach", "ta_bm25",
-                 "kg_components", "kg_triangles", "rel_cube", "rel_mode",
-                 "rel_cumsum", "rel_skew_join", "dedup_editdist",
-                 "mm_phash_dups", "kg_link_jaccard", "ta_collocations",
-                 "rel_retention", "ta_keywords", "rel_history",
-                 "rel_window_distinct", "kg_pagerank_weighted",
-                 "dedup_containment", "rel_cume_dist", "ml_knn_classify",
-                 "kg_entity_profile", "prep_neardup", "rel_first_order",
-                 "rel_bucketed_join", "mm_scene_change", "dedup_incremental",
-                 "rel_zorder", "ml_linreg", "kg_entity_timeline",
-                 "prep_report", "web_host_stats", "kg_two_hop",
-                 "kg_label_prop", "mm_audio_zcr",
-                 "web_anchor_links", "web_crawl_diff", "web_host_rank",
-                 "web_host_quality", "web_redirect_resolve",
-                 "kg_resource_alloc", "kg_scc", "kg_bowtie",
-                 "web_outlink_stats", "kg_hits", "ta_lm_score",
-                 "ta_segment_dedup", "kg_trustrank", "web_anchor_texts",
-                 "ta_gopher", "kg_fact_support", "web_host_cap",
-                 "ta_lm_buckets", "kg_walks", "prep_mix_report",
-                 "web_corpus_prep", "kg_entity_lift", "kg_fact_current",
-                 "web_template", "web_link_recip", "kg_pred_stats",
-                 "web_frontier", "kg_entity_cards", "kg_modularity",
-                 "prep_dataset_card", "mm_audio_pitch", "kg_clustering",
-                 "web_dup_profile", "kg_assortativity", "kg_violations",
-                 "dedup_substrings", "web_cdx", "web_wet", "web_jsonl",
-                 "ta_bpe_learn", "web_robots", "ta_search",
-                 "kg_bgp", "kg_rdfs_types", "kg_term_dict", "kg_quads_encoded",
-                 "kg_nquads", "ta_bpe_segment", "web_sitemap", "kg_delta",
-                 "ta_dsir", "kg_neg_samples", "kg_harmonic",
-                 "prep_neardup_best",
-                 "kg_optional", "kg_fact_intervals", "ta_lm_bigram",
-                 "ta_readability", "dedup_winnowing", "web_cocitation",
-                 "ta_phrase", "kg_sameas", "kg_prop_path",
-                 "mm_image_hist", "rel_watermark", "dedup_winnow_pairs",
-                 "web_revisits", "kg_star", "rel_merge",
-                 "kg_shacl", "kg_inverse", "mm_audio_gain", "web_params",
-                 "dedup_winnow_clusters", "kg_asof", "ta_zipf",
-                 "kg_schema_graph", "kg_literal_stats"):
+    # every registered query except the flagship, timed just above
+    for name in (n for n in qs if n != "kg_quads_all"):
         t0 = time.perf_counter()
         # one broken query must not null the whole round artifact:
         # record -1 and keep timing the rest

@@ -32,19 +32,6 @@ def norm_surface(s: str) -> str:
     return out
 
 
-def norm_surface_batch(strings) -> list[str]:
-    """Normalize a batch; uniques-only via factorize to amortize cost."""
-    import numpy as np
-    import pandas as pd
-
-    arr = np.asarray(strings, dtype=object)
-    codes, uniques = pd.factorize(arr)
-    normed = np.array([norm_surface(u) for u in uniques], dtype=object)
-    if len(normed) == 0:
-        return []
-    return list(normed[codes])
-
-
 def skolem_iri(norm: str) -> str:
     """Skolem IRI for an entity surface with no alias-dictionary entry.
     Derived from the normalized surface (reversible, like the reference's

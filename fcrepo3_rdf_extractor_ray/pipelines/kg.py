@@ -28,6 +28,11 @@ atomic Parquet checkpoints with lineage manifests (state/lineage.py).
 Each of its waves is one ``write_datasink`` pass of plain tasks
 (``WaveCheckpointSink``): no actor pool, and the per-block lineage rows
 travel back as the write tasks' return values.
+
+Both run the one extraction kernel, ``extract_quads_kernel``. A caller
+that also wants entity mentions runs ``stages.ner.detect_mentions``,
+which parses the pages again: a shared parse feeding both outputs was
+no faster at sf0.1 (BASELINE.md, "One form per stage").
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ def extract_raw_quads(pages_ds, batch_size: int = 4096,
 
 def canonical_quads(raw, driver_link_threshold: int | None = None):
     """Raw quads → entity map → resolved, deduplicated quads in sink
-    order: the tail of ``run_kg`` and ``run_kg_parse_once``
-    (``run_kg_resumable`` checkpoints the map between the two steps)."""
+    order: the tail of ``run_kg`` (``run_kg_resumable`` runs the same
+    two steps and checkpoints the map between them)."""
     mapping = build_entity_map(raw, build_alias_table(),
                                driver_link_threshold)
     return dedup_quads(resolve_quads(raw, mapping))
@@ -99,32 +104,6 @@ def run_kg(sf_dir: str, repeat: int = 1, skip_empty_literals: bool = True,
     raw = extract_raw_quads(
         pages, skip_empty_literals=skip_empty_literals).materialize()
     return canonical_quads(raw)
-
-
-def run_kg_parse_once(sf_dir: str, with_mentions: bool = False,
-                      repeat: int = 1, skip_empty_literals: bool = True):
-    """Flagship over the PARSE-ONCE backbone: pages run through
-    ``parse_pages`` exactly once; quad extraction AND mention detection
-    both derive from the same materialized parsed table (which drops
-    the html column — the widest bytes die at the parse stage).
-
-    Byte-identical quads to ``run_kg`` (oracle-checked as
-    ``kg_quads_parse_once``); with ``with_mentions=True`` also returns
-    the mentions Dataset from the SAME parse (oracle-checked as
-    ``kg_mentions_parse_once``) — the shape a production run wants when
-    it consumes both outputs."""
-    from ..stages.extract import extract_quads_from_parsed, parse_pages
-
-    pages = pages_for_sf(sf_dir, repeat=repeat)
-    parsed = parse_pages(pages).materialize()
-    raw = extract_quads_from_parsed(
-        parsed, skip_empty_literals=skip_empty_literals).materialize()
-    quads = canonical_quads(raw)
-    if with_mentions:
-        from ..stages.ner import mentions_from_parsed
-
-        return quads, mentions_from_parsed(parsed)
-    return quads
 
 
 def _read_entity_map(checkpoint_dir: str):

@@ -2480,14 +2480,21 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
     """CDC MERGE (the lakehouse ``MERGE INTO``): apply a key-unique,
     compacted change stream — ``U`` (update value), ``D`` (delete),
     ``I`` (insert new key) — to a base table in ONE key-hash tag-union
-    exchange; the per-partition resolve is three vectorized masks, no
-    join operator. Returns the merged table with its action audit
-    column (kept / updated / inserted; deleted keys are absent).
+    exchange; the per-partition resolve is vectorized masks, no join
+    operator. Returns the merged table with its action audit column
+    (kept / updated / inserted; deleted keys are absent).
+
+    Semantics are the ``rel_merge`` oracle's FULL OUTER JOIN of base
+    and stream: every U or I row is emitted with the stream's value
+    (action ``updated`` / ``inserted``), whether or not its key is in
+    the base — a U on an absent key upserts it; a base row whose key
+    the stream touches is replaced (U, I) or dropped (D); every other
+    base row is ``kept``. A D on an absent key is a no-op.
 
     Contract: the change stream is COMPACTED (at most one op per key —
-    what a CDC reader emits per checkpoint); an I op's key must not
-    exist in the base (upstream assigns fresh keys). Neither is
-    checked per row here — compaction is the producer's invariant."""
+    what a CDC reader emits per checkpoint) and its ops are U, D or I.
+    Neither is checked per row here — compaction is the producer's
+    invariant."""
     from ..functions.hashing import fast_part_hash
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)
@@ -2515,23 +2522,17 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
                                             batch_format="pyarrow")))
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        b = df[df["is_base"]][["k", "v"]]
         u = df[~df["is_base"]]
-        dels = set(u.loc[u["op"] == "D", "k"])
-        upd = u[u["op"] == "U"].set_index("k")["v"]
-        ins = u[u["op"] == "I"]
-        b = b[~b["k"].isin(dels)].copy()
-        # masked int64 assignment — a map/fillna round-trip would pass
-        # kept values through float64 and corrupt them above 2^53
-        has_upd = b["k"].isin(upd.index).to_numpy()
-        b["action"] = np.where(has_upd, "updated", "kept")
-        if has_upd.any():
-            b.loc[has_upd, "v"] = (b.loc[has_upd, "k"].map(upd)
-                                   .astype("int64"))
+        b = df[df["is_base"] & ~df["k"].isin(u["k"])]
+        u = u[u["op"] != "D"]
+        # both sides are int64 slices of one frame: no float64 round-trip
+        # that would corrupt values above 2^53
         out = pd.concat([
-            b[["k", "v", "action"]],
-            pd.DataFrame({"k": ins["k"], "v": ins["v"],
-                          "action": "inserted"})], ignore_index=True)
+            pd.DataFrame({"k": b["k"], "v": b["v"], "action": "kept"}),
+            pd.DataFrame({"k": u["k"], "v": u["v"],
+                          "action": np.where(u["op"] == "U", "updated",
+                                             "inserted")})],
+            ignore_index=True)
         return out.rename(columns={"k": key_col, "v": val_col})
 
     return tagged.groupby("part").map_groups(resolve,

@@ -25,8 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import minhash_signature, simhash64
-from ..runtime import pool as _pool
+from ..functions.hashing import minhash_signature
 from ..schema import QUAD_KEY_COLS, SINK_ORDER
 
 _N_COL = "n_src"
@@ -218,31 +217,6 @@ def minhash_md5_sig_batch(t: pa.Table, text_col="text", id_col="doc_id",
         "doc_id": pa.array(ids, pa.int64()),
         "sig": pa.array(sigs, pa.list_(pa.int64())),
     })
-
-
-class MinHashStage:
-    """Actor-pool form of ``minhash_sig_batch`` (kept for callers that
-    want an isolated per-actor memo, e.g. a model-backed variant)."""
-
-    def __init__(self, text_col="text", id_col="doc_id", num_perm=64):
-        self.text_col, self.id_col = text_col, id_col
-        self.num_perm = num_perm
-        self.memo: dict[str, int] = {}
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from ..functions.hashing import shingle_hashes_fast
-
-        ids = t[self.id_col].to_pylist()
-        sigs = []
-        for txt in t[self.text_col].to_pylist():
-            sig = minhash_signature(
-                shingle_hashes_fast(txt.split(), memo=self.memo),
-                self.num_perm)
-            sigs.append(sig.astype(np.int64).tolist())
-        return pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "sig": pa.array(sigs, pa.list_(pa.int64())),
-        })
 
 
 def _sig_matrix(t: pa.Table) -> np.ndarray:
@@ -538,32 +512,6 @@ def minhash_clusters(docs_ds, threshold=0.7,
 
 # ---------------------------------------------------------------------------
 # SimHash
-
-class SimHashStage:
-    def __init__(self, text_col="text", id_col="doc_id"):
-        self.text_col, self.id_col = text_col, id_col
-        self.memo: dict[str, int] = {}  # token-hash memo, per actor
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t[self.id_col].to_pylist()
-        sigs = [simhash64(txt.split(), memo=self.memo)
-                for txt in t[self.text_col].to_pylist()]
-        out_id, out_chunk, out_key, out_sig = [], [], [], []
-        for i, s in zip(ids, sigs):
-            for c in range(4):  # 4×16-bit chunks: hamming≤3 ⇒ ≥1 chunk equal
-                out_id.append(i)
-                out_chunk.append(c)
-                out_key.append((s >> (16 * c)) & 0xFFFF)
-                out_sig.append(s - (1 << 64) if s >= (1 << 63) else s)
-        return pa.table(
-            {
-                "doc_id": pa.array(out_id, pa.int64()),
-                "chunk": pa.array(out_chunk, pa.int32()),
-                "chunk_key": pa.array(out_key, pa.int64()),
-                "sig": pa.array(out_sig, pa.int64()),
-            }
-        )
-
 
 def _sim_candidate_pairs(idx, sigs, unmatched_bits, max_bucket, max_hamming):
     """Lossless candidate enumeration for one SimHash bucket.

@@ -7,21 +7,21 @@ one HTML parse per page emits constant page quads (M2), metadata quads
 (P4, ObjectProcessor.java:172-176) — a data error never fails the task,
 it is counted and the page still contributes its constant quads.
 
-The kernel runs in three wrappers: ``extract_quads_batch`` (task form,
-``run_kg``), the resumable run's checkpoint waves (task form, which
-record the error count as lineage), and ``ExtractQuadsStage``, a
+The engine runs the kernel in two task-form wrappers: ``extract_quads_batch``
+(``run_kg``) and the resumable run's checkpoint waves (which record the
+error count as lineage). ``ExtractQuadsStage`` is its actor form, a
 callable class for ``map_batches(..., concurrency=N)`` that keeps a
 per-actor error counter (the W1 pattern — one long-lived
-ObjectProcessor per worker, ObjectProcessor.java:96-139).
+ObjectProcessor per worker, ObjectProcessor.java:96-139); only the
+benchmark's traced twin still drives it.
 
 The unfused building blocks (``extract_text_batch``, ``page_quads_batch``)
-exist for composition and unit testing; the flagship pipeline uses the
-fused kernel so the expensive parse happens exactly once per page.
+exist for composition and unit testing; every quad path uses the fused
+kernel, so the expensive parse happens exactly once per page.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -81,7 +81,7 @@ def page_quads_batch(batch: pa.Table) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# Row-wise parsed extractions (shared by fused and unfused paths)
+# Row-wise parsed extractions (the kernel's per-page steps)
 
 def meta_quad_rows(url: str, page: ParsedPage) -> list[tuple]:
     """(graph, subj, pred, obj, is_lit, dt, src) rows for title/meta/state.
@@ -244,107 +244,3 @@ def extract_text_batch(batch: pa.Table, lenient: bool = False) -> pa.Table:
         texts.append(page.text)
     return pa.table({"url": pa.array(urls, pa.string()),
                      "text": pa.array(texts, pa.string())})
-
-
-def parse_pages(pages_ds, batch_size: int = 4096):
-    """pages → structured parsed rows (ParsePagesStage in task form):
-    the PARSE-ONCE backbone. Downstream quad extraction AND mention
-    detection both read this dataset, so ``parse_page`` runs exactly
-    once per page per run (the html column dies here — the parsed table
-    carries only text/title/metas/fact_sentences)."""
-    def fn(t: pa.Table) -> pa.Table:
-        return ParsePagesStage()(t)
-
-    return pages_ds.map_batches(fn, batch_format="pyarrow",
-                                batch_size=batch_size)
-
-
-def extract_quads_from_parsed(parsed_ds, skip_empty_literals: bool = True,
-                              batch_size: int = 4096):
-    """Quads from an already-parsed pages dataset — byte-identical
-    output to ``extract_quads_batch`` (same constant/meta/fact rows,
-    same containment: a malformed page, parse_ok=false, emits only its
-    constant quads), but with no ``parse_page`` call: the parse-once
-    path for runs that also need mentions from the same parse."""
-    def fn(batch: pa.Table, skip_empty_literals: bool = True) -> pa.Table:
-        const_quads = page_quads_batch(batch)
-        rows: list[tuple] = []
-        for url, ok, title, names, vals, sents in zip(
-                batch["url"].to_pylist(), batch["parse_ok"].to_pylist(),
-                batch["title"].to_pylist(),
-                batch["meta_names"].to_pylist(),
-                batch["meta_values"].to_pylist(),
-                batch["fact_sentences"].to_pylist()):
-            if not ok:
-                continue  # contained at parse time: constant quads only
-            try:
-                page = ParsedPage(title=title,
-                                  metas=list(zip(names, vals)),
-                                  fact_sentences=sents or [])
-                page_rows = list(meta_quad_rows(url, page))
-                page_rows.extend(fact_quad_rows(fact_rows_for_page(url, page)))
-            except Exception:
-                continue
-            rows.extend(page_rows)
-        out = pa.concat_tables([const_quads, _rows_to_quads(rows)])
-        if skip_empty_literals:
-            from .filters import skip_empty_literals_table
-
-            out = skip_empty_literals_table(out)
-        return out
-
-    return parsed_ds.map_batches(
-        fn, fn_kwargs={"skip_empty_literals": skip_empty_literals},
-        batch_format="pyarrow", batch_size=batch_size)
-
-
-class ParsePagesStage:
-    """pages batch → one structured row per page (unfused path): url,
-    parse_ok, title, meta names/values, text, fact sentence list. Feeds the
-    separate NER / OpenIE / meta stages and unit tests."""
-
-    def __init__(self):
-        self.errors = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"url": [], "parse_ok": [], "title": [], "meta_names": [],
-               "meta_values": [], "text": [], "fact_sentences": [],
-               "warc_ts": [], "lang": []}
-        ts = batch["warc_ts"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        for i, (url, html) in enumerate(
-            zip(batch["url"].to_pylist(), batch["html"].to_pylist())
-        ):
-            out["url"].append(url)
-            out["warc_ts"].append(ts[i])
-            out["lang"].append(langs[i])
-            try:
-                page = parse_page(html)
-            except PageParseError:
-                self.errors += 1
-                out["parse_ok"].append(False)
-                out["title"].append(None)
-                out["meta_names"].append([])
-                out["meta_values"].append([])
-                out["text"].append("")
-                out["fact_sentences"].append([])
-                continue
-            out["parse_ok"].append(True)
-            out["title"].append(page.title)
-            out["meta_names"].append([m[0] for m in page.metas])
-            out["meta_values"].append([m[1] for m in page.metas])
-            out["text"].append(page.text)
-            out["fact_sentences"].append(page.fact_sentences)
-        return pa.table(
-            {
-                "url": pa.array(out["url"], pa.string()),
-                "warc_ts": pa.array(out["warc_ts"], pa.timestamp("us")),
-                "lang": pa.array(out["lang"], pa.string()),
-                "parse_ok": pa.array(out["parse_ok"], pa.bool_()),
-                "title": pa.array(out["title"], pa.string()),
-                "meta_names": pa.array(out["meta_names"], pa.list_(pa.string())),
-                "meta_values": pa.array(out["meta_values"], pa.list_(pa.string())),
-                "text": pa.array(out["text"], pa.string()),
-                "fact_sentences": pa.array(out["fact_sentences"], pa.list_(pa.string())),
-            }
-        )

@@ -7,7 +7,7 @@ with numpy (no external libs), and `PpmStatsStage` turns payloads into
 exact integer channel statistics (an oracle-checkable surface — the
 generator formula is re-computable in SQL while the engine only ever
 sees the encoded bytes). The Ray-side plumbing is shared by both paths:
-schema handling for binary payload columns, small-batch actor-pool
+schema handling for binary payload columns, small-batch task-form
 stages (binary rows are wide — the same sizing concern as the html
 column, SURVEY.md §7.4), and a typed output layout.
 
@@ -246,10 +246,11 @@ def _real_features(payload: bytes) -> tuple[int, int, np.ndarray]:
 class DecodeImageStage:
     """binary-payload batch → typed image-feature rows.
 
-    Actor-pool stage. ``real_decode=True`` parses binary P6 PPM payloads
-    with the numpy codec above (compressed formats — JPEG/PNG — would
-    slot a PIL/libvips call into `_real_features`; those libs are absent
-    here, and such payloads raise ValueError). ``real_decode=False`` is
+    Callable stage (``image_features`` runs it per batch in task form).
+    ``real_decode=True`` parses binary P6 PPM payloads with the numpy
+    codec above (compressed formats — JPEG/PNG — would slot a
+    PIL/libvips call into `_real_features`; those libs are absent here,
+    and such payloads raise ValueError). ``real_decode=False`` is
     the deterministic fake used when payloads aren't images at all (the
     plumbing demos over text bytes). Keep ``batch_size`` small for large
     payloads (binary rows dominate batch memory)."""
@@ -361,21 +362,10 @@ class FrameSampleStage:
 
 
 def image_features(items_ds, id_col="item_id", payload_col="payload",
-                   batch_size: int = 64, concurrency=None):
-    """Decode stage. Default is task form on warm workers (the stubbed
-    codec has no per-actor setup worth a pool ramp); pass ``concurrency``
-    to get the actor-pool form — the right shape once ``real_decode``
-    loads an actual codec/model per actor."""
-    if concurrency is not None:
-        return items_ds.map_batches(
-            DecodeImageStage,
-            fn_constructor_kwargs={"id_col": id_col,
-                                   "payload_col": payload_col},
-            batch_format="pyarrow",
-            batch_size=batch_size,  # binary payloads: small batches
-            concurrency=concurrency,
-        )
-
+                   batch_size: int = 64):
+    """Decode stage, task form on warm workers: the stubbed codec has no
+    per-actor setup worth a pool ramp. ``batch_size`` stays small because
+    the binary payloads are the wide part."""
     def decode_batch(t: pa.Table) -> pa.Table:
         return DecodeImageStage(id_col=id_col, payload_col=payload_col)(t)
 
@@ -495,8 +485,8 @@ class PhashStage:
 def phash_neardup_pairs(items_ds, max_hamming: int = 6,
                         id_col="item_id", payload_col="payload",
                         n_parts: int | None = None):
-    """Image NEAR-DUP pairs by perceptual hash: aHash per image (actor
-    pool, small binary batches), then the same pigeonhole bucketing the
+    """Image NEAR-DUP pairs by perceptual hash: aHash per image (task
+    form, small binary batches), then the same pigeonhole bucketing the
     simhash path uses — 4 disjoint 16-bit bands; candidates share at
     least one exact band, then an XOR-popcount verify keeps pairs with
     hamming ≤ ``max_hamming``. By pigeonhole the blocking is COMPLETE
@@ -520,9 +510,7 @@ def phash_neardup_pairs(items_ds, max_hamming: int = 6,
     # task form on warm workers: phash64 is stateless (the aHash grid
     # needs no loaded model), so the signature stage scales with the
     # task scheduler and pays no actor-pool ramp; the sig stream feeds
-    # one consumer, so no materialize barrier either. An actor-pool
-    # variant belongs only where a real perceptual model loads per
-    # actor (mirror detect_mentions' concurrency switch).
+    # one consumer, so no materialize barrier either.
     def sig_batch(t: pa.Table) -> pa.Table:
         return PhashStage(id_col=id_col, payload_col=payload_col)(t)
 
@@ -659,22 +647,15 @@ class SceneChangeStage:
 
 
 def scene_changes(items_ds, cut_hamming: int = 12, id_col="item_id",
-                  payload_col="payload", concurrency=None):
+                  payload_col="payload"):
     """Scene-change detection over a binary 'video' column (small
-    batches — payloads are the wide part). Default is TASK form on warm
-    workers: the decode+aHash walk is stateless, so it scales with the
-    task scheduler and pays no actor ramp (a hardcoded concurrency=2
-    starved this stage at 32 CPUs; a full-width pool over-provisioned
-    it at toy scale). Pass ``concurrency`` (e.g. ``runtime.pool()``)
-    for the actor-pool form once a real shot-boundary model loads per
-    actor."""
+    batches — payloads are the wide part). TASK form on warm workers:
+    the decode+aHash walk is stateless, so it scales with the task
+    scheduler and pays no actor ramp (a hardcoded concurrency=2 starved
+    this stage at 32 CPUs; a full-width pool over-provisioned it at toy
+    scale)."""
     kwargs = {"cut_hamming": cut_hamming, "id_col": id_col,
               "payload_col": payload_col}
-    if concurrency is not None:
-        return items_ds.map_batches(
-            SceneChangeStage, fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow", batch_size=32,
-            concurrency=concurrency)
 
     def scene_batch(t: pa.Table) -> pa.Table:
         return SceneChangeStage(**kwargs)(t)

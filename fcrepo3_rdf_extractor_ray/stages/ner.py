@@ -1,11 +1,13 @@
-"""NER mention detection (actor-pool stage).
+"""NER mention detection.
 
 The analog of the reference's arbitrary body-triple extraction feeding
 entity-bearing nodes into the sink (M5, ObjectProcessor.java:167-169) —
 here a standalone stage so linking/canonicalization can run over
 mentions independently of fact assembly. Deterministic pattern-based
-recognizer; the class is the actor-pool slot where a model-backed NER
-would load its weights in ``__init__``.
+recognizer. ``detect_mentions`` runs it in task form by default; its
+actor form is the one stage fork kept on purpose, because ``NerStage``
+holds real per-actor state: the model slot that loads weights once in
+``__init__``.
 """
 
 from __future__ import annotations
@@ -102,31 +104,6 @@ def detect_mentions(pages_ds, concurrency=None, batch_size: int = 4096,
 
     return pages_ds.map_batches(ner_batch, batch_format="pyarrow",
                                 batch_size=batch_size)
-
-
-def mentions_from_parsed(parsed_ds, batch_size: int = 4096):
-    """Mentions from an already-parsed pages dataset (the
-    ``fact_sentences`` column of ``extract.parse_pages``) — identical
-    rows to ``detect_mentions`` but with NO ``parse_page`` call: the
-    parse-once path. Malformed pages carry an empty sentence list from
-    the parse stage, preserving the containment semantics."""
-    def fn(t: pa.Table) -> pa.Table:
-        urls, surfaces, norms = [], [], []
-        for url, sents in zip(t["url"].to_pylist(),
-                              t["fact_sentences"].to_pylist()):
-            for sent in sents or ():
-                for m in _MENTION_RE.findall(sent):
-                    urls.append(url)
-                    surfaces.append(m)
-                    norms.append(norm_surface(m))
-        return pa.table({
-            "src_url": pa.array(urls, pa.string()),
-            "surface": pa.array(surfaces, pa.string()),
-            "norm": pa.array(norms, pa.string()),
-        })
-
-    return parsed_ds.map_batches(fn, batch_format="pyarrow",
-                                 batch_size=batch_size)
 
 
 def mention_cooccurrence(mentions_ds, n_parts: int | None = None):

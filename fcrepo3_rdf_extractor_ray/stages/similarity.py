@@ -1,8 +1,8 @@
 """Similarity search over an embedding column (list<float>).
 
 - ``knn_bruteforce`` — exact cosine top-k: the query matrix is broadcast
-  once via ``ray.put`` (read per actor in ``__init__``, never re-shipped
-  per batch); each batch computes a float64 matmul against it and emits
+  once via ``ray.put`` (read once per worker, never re-shipped per
+  batch); each batch computes a float64 matmul against it and emits
   its local top-k per query; a final tiny merge (candidates are
   #blocks × #queries × k) picks the global top-k. Scores are emitted in
   micro-units (floor ×1e6, int64) so the DuckDB oracle compares exactly.
@@ -103,8 +103,7 @@ def _merge_topk(cands: pd.DataFrame, k: int, exclude_self: bool) -> pd.DataFrame
 
 
 def knn_bruteforce(emb_ds, query_vectors: dict[int, np.ndarray], k: int = 5,
-                   id_col="vec_id", vec_col="embedding", exclude_self=True,
-                   concurrency=None):
+                   id_col="vec_id", vec_col="embedding", exclude_self=True):
     """Exact cosine top-k. Returns (query_id, neighbor_id, cos_micro).
     Ties broken by neighbor_id ascending (deterministic, oracle-safe)."""
 
@@ -113,24 +112,14 @@ def knn_bruteforce(emb_ds, query_vectors: dict[int, np.ndarray], k: int = 5,
     def brute_batch(t: pa.Table) -> pa.Table:
         # task form: warm workers skip the actor ramp; the stage object
         # (broadcast query matrix + norms) is built once per WORKER via
-        # the module cache. (Use the actor-class form when per-actor
-        # setup is heavy and exclusive, e.g. a learned re-ranker.)
+        # the module cache
         stage = _cached(
             ("brute", q_ref.hex(), k, id_col, vec_col),
             lambda: BruteForceTopKStage(q_ref, k, id_col=id_col,
                                         vec_col=vec_col))
         return stage(t)
 
-    if concurrency is not None:
-        cand_ds = emb_ds.map_batches(
-            BruteForceTopKStage,
-            fn_constructor_kwargs={"queries_ref": q_ref, "k": k,
-                                   "id_col": id_col, "vec_col": vec_col},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
-    else:
-        cand_ds = emb_ds.map_batches(brute_batch, batch_format="pyarrow")
+    cand_ds = emb_ds.map_batches(brute_batch, batch_format="pyarrow")
     # candidate set is #blocks × #queries × (k+1) — a small reduce; the
     # driver-side merge is the documented tree-reduce stand-in
     cands = cand_ds.to_pandas()
@@ -173,7 +162,7 @@ class IVFSearchStage:
     """(vec_id, bucket, unit_vec) batch → local top-k candidates per query,
     searching ONLY the rows whose bucket is probed by each query. The
     probe plan (query matrix + bucket→queries index) is broadcast once
-    via ``ray.put`` and loaded per actor in ``__init__`` — the block's
+    via ``ray.put`` and loaded once per worker — the block's
     vectors never leave the task, so the pipeline stays streaming and
     driver memory is bounded by the candidate count."""
 
@@ -221,7 +210,7 @@ def knn_ivf(emb_ds, query_vectors: dict[int, np.ndarray], k: int = 5,
             n_clusters: int = 16, n_probe: int = 4, sample_size: int = 2048,
             id_col="vec_id", vec_col="embedding", exclude_self=True):
     """IVF top-k: train a coarse quantizer on a limited sample (seeded,
-    deterministic), bucket all vectors via an actor-pool assign stage,
+    deterministic), bucket all vectors via a task-form assign stage,
     prune non-probed buckets with a vectorized filter, then run the
     probed-bucket search distributed inside ``map_batches``. Only the
     bounded candidate set (#blocks × #queries × (k+1)) is merged on the

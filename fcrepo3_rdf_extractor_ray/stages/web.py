@@ -1340,10 +1340,12 @@ def url_param_stats(ds, url_col: str = "url",
 
     Shape: stateless vectorized findall (polars ``extract_all``, the
     `extract_links` idiom) explodes urls to (key, value, host) rows,
-    deduped per (url, key) in-batch (a combiner — cross-batch repeats
-    of a recrawled url are handled by the distinct-url count) → ONE
-    key-hash exchange where counts and distincts are exact (all rows
-    of a key co-locate).
+    deduped per (url, key, value) in-batch (a combiner — cross-batch
+    repeats of a recrawled url are handled by the distinct counts) →
+    ONE key-hash exchange where counts and distincts are exact (all
+    rows of a key co-locate). A url repeating a key (``?a=1&a=2``)
+    counts once in ``n_urls`` and contributes every value to
+    ``n_values``, as the ``web_params`` oracle does.
     Returns (param, n_urls, n_hosts, n_values, is_tracking)."""
     import polars as pl
 
@@ -1368,7 +1370,7 @@ def url_param_stats(ds, url_col: str = "url",
                    pl.col("m").str.extract(r"=([^&#]*)$", 1)
                    .alias("value"))
                .drop("m")
-               .unique(subset=["url", "param"], keep="first",
+               .unique(subset=["url", "param", "value"],
                        maintain_order=True))
         at = out.to_arrow().cast(pa.schema([
             ("url", pa.string()), ("host", pa.string()),
@@ -1377,10 +1379,10 @@ def url_param_stats(ds, url_col: str = "url",
             "part", pa.array(fast_part_hash(at["param"], n_parts)))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        # n_urls = DISTINCT urls: the per-batch (url, param) dedup is
-        # only a combiner — a recrawled url appearing in several input
-        # rows may land in different batches, and a size count would
-        # make the result batch-boundary-dependent
+        # n_urls = DISTINCT urls: the per-batch (url, param, value)
+        # dedup is only a combiner — a recrawled url appearing in
+        # several input rows may land in different batches, and a size
+        # count would make the result batch-boundary-dependent
         g = (df.groupby("param")
              .agg(n_urls=("url", "nunique"),
                   n_hosts=("host", "nunique"),

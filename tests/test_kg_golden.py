@@ -56,29 +56,3 @@ def test_entry_smoke():
     rows = ds.take_all()
     assert len(rows) > 0
     assert set(rows[0]) >= {"graph", "subj", "pred", "obj"}
-
-
-def test_parse_once_path_byte_identical(ray_session, sf_dir):
-    """run_kg_parse_once must produce EXACTLY run_kg's quads, and its
-    mentions must equal detect_mentions' rows — one parse_page per page,
-    zero behavioral drift."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import (pages_for_sf,
-                                                        run_kg,
-                                                        run_kg_parse_once)
-    from fcrepo3_rdf_extractor_ray.stages.ner import detect_mentions
-
-    cols = ["graph", "subj", "pred", "obj", "obj_is_literal",
-            "obj_datatype", "src_url", "n_src"]
-    a = (run_kg(sf_dir).to_pandas()[cols]
-         .sort_values(cols).reset_index(drop=True))
-    quads, mentions = run_kg_parse_once(sf_dir, with_mentions=True)
-    b = (quads.to_pandas()[cols]
-         .sort_values(cols).reset_index(drop=True))
-    assert a.equals(b)
-
-    mcols = ["src_url", "surface", "norm"]
-    m1 = (detect_mentions(pages_for_sf(sf_dir)).to_pandas()[mcols]
-          .sort_values(mcols).reset_index(drop=True))
-    m2 = (mentions.to_pandas()[mcols]
-          .sort_values(mcols).reset_index(drop=True))
-    assert m1.equals(m2)

@@ -1,7 +1,7 @@
 """Round-3 oracle additions, pinned as pytest (sf0.001): the md5
 SQL-replayable hash family (rolling fingerprint, SimHash), the
-all-integer aHash replays (phash dedup, scene change), the parse-once
-backbone, the BPE-ish piece counter, and block-mean image resize."""
+all-integer aHash replays (phash dedup, scene change), the BPE-ish
+piece counter, and block-mean image resize."""
 import pytest
 
 from conftest import assert_frames_equivalent
@@ -11,8 +11,6 @@ ROUND3_ORACLE_QUERIES = [
     "dedup_simhash",
     "mm_phash_dups",
     "mm_scene_change",
-    "kg_quads_parse_once",
-    "kg_mentions_parse_once",
     "ta_token_bpe",
     "mm_image_resize",
     "ta_split",

@@ -544,6 +544,39 @@ def test_merge_upsert_semantics(ray_session):
                                       "inserted"]
 
 
+def test_merge_upsert_unmatched_update_matches_oracle(ray_session):
+    """A U on a key absent from the base upserts it as 'updated', and a
+    D on an absent key is a no-op — the rel_merge oracle's FULL OUTER
+    JOIN, replayed in DuckDB on the same rows."""
+    import duckdb
+    import ray.data as rd
+
+    import __ray_entry__ as em
+    from fcrepo3_rdf_extractor_ray.pipelines.relational import (
+        merge_upsert)
+
+    base = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                     "cents": pa.array([100, 200, 300], pa.int64())})
+    upd = pa.table({"k": pa.array([2, 3, 7, 8, 9], pa.int64()),
+                    "cents": pa.array([222, 0, 777, 0, 999], pa.int64()),
+                    "op": ["U", "D", "U", "D", "I"]})
+    got = (merge_upsert(rd.from_arrow(base).repartition(2),
+                        rd.from_arrow(upd))
+           .to_pandas().sort_values("k").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("base_rows", base)
+    con.register("upd_rows", upd)
+    want = con.execute(
+        "WITH b AS (SELECT k, cents FROM base_rows), "
+        "u AS (SELECT k, cents, op FROM upd_rows)" + em._MERGE_TAIL_SQL
+    ).df().sort_values("k").reset_index(drop=True)
+    assert want.values.tolist() == [[1, 100, "kept"], [2, 222, "updated"],
+                                    [7, 777, "updated"],
+                                    [9, 999, "inserted"]]
+    assert got[["k", "cents", "action"]].values.tolist() == \
+        want.values.tolist()
+
+
 def test_shacl_report_min_count(ray_session):
     """A typed subject missing required preds yields one row per gap;
     untyped subjects are never checked."""
@@ -636,12 +669,43 @@ def test_url_param_stats_planted(ray_session):
         "doc_id": pa.array(range(5), pa.int64()), "url": urls}))
     out = url_param_stats(ds).to_pandas().set_index("param")
     assert out.loc["page", "n_urls"] == 2
-    assert out.loc["page", "n_values"] == 1      # first kept: '1'
+    assert out.loc["page", "n_values"] == 2      # every value: '1', '2'
     assert out.loc["sid", "n_urls"] == 2
     assert out.loc["sid", "n_hosts"] == 1
     assert out.loc["sid", "n_values"] == 2
     assert bool(out.loc["utm_ref", "is_tracking"]) is True
     assert bool(out.loc["utmx", "is_tracking"]) is False
+
+
+def test_url_param_stats_repeated_key_matches_oracle(ray_session):
+    """A url repeating a key with different values (?a=1&a=2) counts
+    once in n_urls and gives every value to n_values — the web_params
+    oracle's aggregation, replayed in DuckDB on the same urls."""
+    import duckdb
+    import ray.data as rd
+
+    import __ray_entry__ as em
+    from fcrepo3_rdf_extractor_ray.stages.web import url_param_stats
+
+    urls = ["https://a.org/x?a=1&a=2",
+            "https://a.org/y?a=1&b=5",
+            "https://b.org/x?a=3&a=3&b=5"]
+    rows = pa.table({"doc_id": pa.array(range(3), pa.int64()),
+                     "url": urls})
+    cols = ["param", "n_urls", "n_hosts", "n_values", "is_tracking"]
+    got = (url_param_stats(rd.from_arrow(rows)).to_pandas()[cols]
+           .sort_values("param").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("url_rows", rows)
+    want = con.execute(
+        "WITH u AS (SELECT url, "
+        "regexp_extract(url, '^https?://([^/?#]+)', 1) AS host, "
+        "regexp_extract(url, '\\?(.*)$', 1) AS qs FROM url_rows)"
+        + em._PARAM_STATS_TAIL_SQL).df()[cols]
+    want = want.sort_values("param").reset_index(drop=True)
+    assert want.values.tolist() == [["a", 3, 2, 3, False],
+                                    ["b", 2, 2, 1, False]]
+    assert got.values.tolist() == want.values.tolist()
 
 
 def test_winnowing_clusters_min_id_and_routing(ray_session):
