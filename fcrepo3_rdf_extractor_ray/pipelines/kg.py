@@ -1453,8 +1453,12 @@ def shacl_report(quads_ds, target_class: str = "kg:WebPage",
         m = full.merge(have.rename(columns={"pred": "missing_pred"}),
                        on=["subj", "missing_pred"], how="left",
                        indicator=True)
-        out = m[m["_merge"] == "left_only"][["subj", "missing_pred"]]
-        return out.reset_index(drop=True)
+        out = m[m["_merge"] == "left_only"]
+        # typed Arrow output: an empty object-dtype frame makes Ray's
+        # block-size estimate log an error per empty partition
+        return pa.table({c: pa.array(out[c].to_numpy(dtype=object),
+                                     pa.string())
+                         for c in ("subj", "missing_pred")})
 
     return (quads_ds.map_batches(combine, batch_format="pyarrow")
             .groupby("part").map_groups(check, batch_format="pandas"))

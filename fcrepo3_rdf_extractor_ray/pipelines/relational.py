@@ -2533,7 +2533,13 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
                           "action": np.where(u["op"] == "U", "updated",
                                              "inserted")})],
             ignore_index=True)
-        return out.rename(columns={"k": key_col, "v": val_col})
+        # typed Arrow output (see `shacl_report`'s check): no empty
+        # object-dtype pandas blocks
+        return pa.table({
+            key_col: pa.array(out["k"].to_numpy(np.int64)),
+            val_col: pa.array(out["v"].to_numpy(np.int64)),
+            "action": pa.array(out["action"].to_numpy(dtype=object),
+                               pa.string())})
 
     return tagged.groupby("part").map_groups(resolve,
                                              batch_format="pandas")

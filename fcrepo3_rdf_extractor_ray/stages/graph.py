@@ -2,19 +2,29 @@
 
 PageRank is the canonical "wide iterative" workload a KG engine owes its
 users (the reference stops at materializing the graph; ranking its nodes
-is the first thing a consumer does with it). Two execution modes:
+is the first thing a consumer does with it). Two shared kernels carry
+the families that used to repeat their own exchanges:
 
-- ``broadcast`` (default while the rank table fits a worker — it is
-  #nodes ≈ #entities scale, orders of magnitude below the corpus): per
-  iteration the rank table is ``ray.put`` once and every edge task reads
-  it zero-copy (``pc.index_in`` + take — a vectorized broadcast join),
-  then one combiner-bounded groupby sums contributions. One exchange
-  per iteration; the edge list never re-shuffles. Measured 6× faster
-  than the join mode at 500k edges (Ray 2.49's hash join costs ~14 s a
-  round at that size).
-- ``join``: fully Dataset-native hash-join rounds, no driver-side rank
-  table anywhere — the path for graphs whose node set outgrows worker
-  heap. Same arithmetic, bit-identical output (equivalence-tested).
+- `_rank_sums` — one broadcast rank round for `pagerank`,
+  `pagerank_weighted`, `trust_rank` and `hits_scores`: the rank table
+  (#nodes ≈ #entities scale, orders of magnitude below the corpus) is
+  ``ray.put`` once per round and every edge task reads it zero-copy
+  (``pc.index_in`` + take — a vectorized broadcast join), then one
+  combiner-bounded groupby sums contributions. One exchange per round;
+  the edge list never re-shuffles. Measured 6× faster than a hash-join
+  round at 500k edges (Ray 2.49's hash join costs ~14 s a round at that
+  size), so `pagerank` switches to its Dataset-native join rounds
+  (`_pagerank_join`, no driver-side rank table) only past
+  ``PAGERANK_BROADCAST_MAX_NODES`` nodes — same arithmetic,
+  bit-identical output (equivalence-tested).
+- `_pair_table` — one wedge pass for `triangle_count`,
+  `neighborhood_jaccard`, `two_hop_scores`, `resource_alloc_scores` and
+  `clustering_coefficients`: per unordered node pair, the common
+  neighbour count, the resource-allocation weight and the edge flag.
+
+Routes that depend on input size read the module constants below at
+call time (set them, e.g. with ``monkeypatch``, to force a route); no
+function takes a per-call routing option.
 
 All arithmetic is INTEGER (micro-units, floor division): integer sums
 are order-independent, so the distributed result is bit-identical to the
@@ -30,6 +40,19 @@ import pyarrow.compute as pc
 import ray
 
 from .canonicalize import _safe_join_partitions
+
+# Broadcast rank rounds while the node set fits a worker; `pagerank`
+# takes its join rounds above this.
+PAGERANK_BROADCAST_MAX_NODES = 5_000_000
+# `bfs_reachability` keeps the frontier on the driver up to this many
+# edges (the frontier is bounded by the node count, itself edge-bounded).
+BFS_DRIVER_MAX_EDGES = 200_000
+# `connected_components`, `kcore_nodes`, `scc_labels`, `bowtie_regions`
+# and `hits_scores` run one exact single task up to this many edges.
+SMALL_GRAPH_EDGES = 200_000
+# `deterministic_walks` broadcasts the CSR adjacency up to this many
+# edges, and walks by co-partitioned exchange above it.
+WALKS_BROADCAST_MAX_EDGES = 2_000_000
 
 
 def _distinct(ds, cols: list[str], n_parts: int | None = None):
@@ -55,50 +78,147 @@ def _distinct(ds, cols: list[str], n_parts: int | None = None):
 
 
 def _prepare(edges_ds):
-    """Distinct edges, node set, and the edge table annotated with each
-    subject's out-degree (joined ONCE — every iteration reuses it)."""
+    """Distinct edges, node set, and the ranker edge table (subj, obj,
+    num = 1, den = out-degree of subj; see `_rank_sums`), the degree
+    joined ONCE — every iteration reuses it."""
     from ray.data.aggregate import Count
 
     edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
-
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table({"node": pa.concat_arrays(
-            [c.combine_chunks() for c in (t["subj"], t["obj"])])})
-
-    nodes = _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
-                      ["node"]).materialize()
+    nodes = _node_set(edges)
     n_join = _safe_join_partitions(nodes.count())
     deg = edges.groupby("subj").aggregate(Count())
     deg = deg.map_batches(
-        lambda t: t.rename_columns(["dsubj", "d"]), batch_format="pyarrow")
+        lambda t: pa.table({"dsubj": t.column(0),
+                            "num": pa.array(np.ones(t.num_rows, np.int64)),
+                            "den": pc.cast(t.column(1), pa.int64())}),
+        batch_format="pyarrow")
     e3 = edges.join(deg, join_type="inner", num_partitions=n_join,
                     on=("subj",), right_on=("dsubj",)).materialize()
     return e3, nodes, n_join
 
 
+def _node_set(edges):
+    """Distinct (node) Dataset over both endpoints of (subj, obj)."""
+    def both_ends(t: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.concat_arrays(
+            [c.combine_chunks() for c in (t["subj"], t["obj"])])})
+
+    return _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
+                     ["node"]).materialize()
+
+
+def _rank_setup(nodes, n_parts: int):
+    """The driver-side node column and the per-node zero contributions
+    (partitioned once, reused every round) of a broadcast ranker: the
+    zeros keep nodes without in-edges in every round's output."""
+    zero_rows = nodes.map_batches(
+        lambda t: pa.table({
+            "node": t["node"],
+            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
+            "part": _part_of(t["node"], n_parts)}),
+        batch_format="pyarrow").materialize()
+    node_col = _collect_table(nodes, pa.schema([("node", pa.string())]))
+    return node_col["node"], zero_rows
+
+
+def _rank_sums(edges, scores: pa.Table, zero_rows, n_parts: int,
+               src: str = "subj", dst: str = "obj") -> pa.Table:
+    """ONE BROADCAST RANK ROUND, shared by `pagerank`, `pagerank_weighted`,
+    `trust_rank` and `hits_scores`: the per-node raw sums
+
+        raw(v) = Σ_{u→v} (s(u) · num) // den
+
+    over a ranker edge table (subj, obj, num, den), for every node of
+    ``zero_rows``. The (node, s) score table (#nodes scale, ≤
+    ``PAGERANK_BROADCAST_MAX_NODES``) ships ONCE via ``ray.put``; every
+    edge task reads it zero-copy (``pc.index_in`` + take — a vectorized
+    broadcast join) and pre-sums per batch; one part-hash exchange with
+    a vectorized per-partition sum; the (node, raw) table returns to the
+    driver. The edge table never re-shuffles. Per-edge floor division
+    keeps the sums order-independent integers."""
+    ref = ray.put(scores)
+
+    def contrib(t: pa.Table) -> pa.Table:
+        st = ray.get(ref)  # zero-copy object-store read
+        idx = pc.index_in(t[src], value_set=st["node"])
+        inc = pc.divide(pc.multiply(pc.take(st["s"], idx), t["num"]),
+                        t["den"])  # int64 floor division
+        g = (pa.table({"node": t[dst], "inc": inc})
+             .group_by("node").aggregate([("inc", "sum")])
+             .rename_columns(["node", "inc"]))
+        return g.append_column("part", _part_of(g["node"], n_parts))
+
+    def psum(t: pa.Table) -> pa.Table:
+        return (t.group_by("node").aggregate([("inc", "sum")])
+                .rename_columns(["node", "raw"]))
+
+    raw = (edges.map_batches(contrib, batch_format="pyarrow",
+                             batch_size=None)
+           .union(zero_rows)
+           .groupby("part").map_groups(psum, batch_format="pyarrow"))
+    return _collect_table(raw, pa.schema([("node", pa.string()),
+                                          ("raw", pa.int64())]))
+
+
+def _damped(raw: pa.Table, base, damping_pct: int) -> pa.Table:
+    """PageRank update: ``base + (damping_pct · raw) // 100`` per node."""
+    r = pc.add(base, pc.divide(pc.multiply(
+        pa.scalar(damping_pct, pa.int64()), raw["raw"]),
+        pa.scalar(100, pa.int64())))
+    return pa.table({"node": raw["node"], "s": pc.cast(r, pa.int64())})
+
+
+def _pagerank_rounds(e3, nodes, iters: int, damping_pct: int,
+                     rank_scale: int, n_parts: int, seeds=None) -> pa.Table:
+    """``iters`` broadcast PageRank rounds (`pagerank`,
+    `pagerank_weighted`, `trust_rank`) over a ranker edge table:
+    ``r0(v) = rank_scale·[v ∈ S]``, ``r'(v) = base·[v ∈ S] +
+    (damping_pct · raw(v)) // 100`` with ``base = (rank_scale ·
+    (100 - damping_pct)) // 100`` and S = every node unless ``seeds``
+    masks the teleport (TrustRank). Returns the (node, s) table."""
+    seed_arr = (None if seeds is None
+                else pa.array(sorted(set(seeds)), pa.string()))
+
+    def teleport(node, amount: int):
+        if seed_arr is None:
+            return pa.array(np.full(len(node), amount, np.int64))
+        return pc.if_else(pc.is_in(node, value_set=seed_arr),
+                          pa.scalar(amount, pa.int64()),
+                          pa.scalar(0, pa.int64()))
+
+    node_col, zero_rows = _rank_setup(nodes, n_parts)
+    base = (rank_scale * (100 - damping_pct)) // 100
+    r = pa.table({"node": node_col, "s": teleport(node_col, rank_scale)})
+    for _ in range(iters):
+        raw = _rank_sums(e3, r, zero_rows, n_parts)
+        r = _damped(raw, teleport(raw["node"], base), damping_pct)
+    return r
+
+
 def pagerank(edges_ds, iters: int = 5, damping_pct: int = 85,
-             rank_scale: int = 1_000_000, mode: str = "auto",
-             broadcast_max_nodes: int = 5_000_000, n_parts: int | None = None):
+             rank_scale: int = 1_000_000, n_parts: int | None = None):
     """Integer PageRank over a (subj, obj) edge Dataset.
 
     Per iteration: ``r'(v) = base + (damping_pct · Σ_{u→v} r(u)//d(u)) // 100``
     with ``base = (rank_scale · (100 - damping_pct)) // 100``; dangling
     mass is dropped (the standard simplification). Returns the
     (node, rank_micro) Dataset after ``iters`` fixed iterations.
+
+    Routed by node count: up to ``PAGERANK_BROADCAST_MAX_NODES`` every
+    round is one `_rank_sums` broadcast round; above it `_pagerank_join`
+    keeps the rank table off the driver.
     """
+    import ray.data as rd
+
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)
     e3, nodes, n_join = _prepare(edges_ds)
-    if mode == "auto":
-        mode = ("broadcast" if nodes.count() <= broadcast_max_nodes
-                else "join")
-    base = (rank_scale * (100 - damping_pct)) // 100
-    if mode == "broadcast":
-        ranks = _pagerank_broadcast(e3, nodes, iters, damping_pct,
-                                    rank_scale, base, n_parts)
-    else:
+    if nodes.count() > PAGERANK_BROADCAST_MAX_NODES:
         ranks = _pagerank_join(e3, nodes, n_join, iters, damping_pct,
-                               rank_scale, base)
+                               rank_scale)
+    else:
+        ranks = rd.from_arrow(_pagerank_rounds(
+            e3, nodes, iters, damping_pct, rank_scale, n_parts))
     return ranks.map_batches(
         lambda t: t.rename_columns(["node", "rank_micro"]),
         batch_format="pyarrow")
@@ -133,103 +253,42 @@ def _part_of(col: pa.ChunkedArray, n_parts: int) -> pa.Array:
     return pa.array(fast_part_hash(col, n_parts))
 
 
-def _pagerank_broadcast(e3, nodes, iters, damping_pct, rank_scale, base,
-                        n_parts):
-    """Broadcast-rank rounds: rank table shipped via the object store
-    once per iteration (#nodes scale), edges mapped in place, one
-    part-hash exchange with a vectorized per-partition sum."""
-    import ray.data as rd
-
-    # in-link-less nodes as zero contributions (keeps them at base rank
-    # without a second pass); partitioned once, reused every round
-    zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "obj": t["node"],
-            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "part": _part_of(t["node"], n_parts)}),
-        batch_format="pyarrow").materialize()
-
-    rank_tbl = _collect_table(nodes, pa.schema([("node", pa.string())]))
-    rank_tbl = rank_tbl.append_column(
-        "r", pa.array(np.full(rank_tbl.num_rows, rank_scale,
-                              dtype=np.int64)))
-
-    def final_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["obj"]).aggregate([("inc", "sum")])
-        g = g.rename_columns(["node", "s"])
-        r = pc.add(pa.scalar(base, pa.int64()),
-                   pc.divide(pc.multiply(pa.scalar(damping_pct, pa.int64()),
-                                         g["s"]),
-                             pa.scalar(100, pa.int64())))
-        return pa.table({"node": g["node"], "r": pc.cast(r, pa.int64())})
-
-    for _ in range(iters):
-        rank_ref = ray.put(rank_tbl)
-
-        def contrib(t: pa.Table) -> pa.Table:
-            rt = ray.get(rank_ref)  # zero-copy object-store read
-            idx = pc.index_in(t["subj"], value_set=rt["node"])
-            inc = pc.divide(pc.take(rt["r"], idx), t["d"])  # floor div
-            g = pa.table({"obj": t["obj"], "inc": inc}).group_by(
-                ["obj"]).aggregate([("inc", "sum")])
-            g = g.rename_columns(["obj", "inc"])
-            return g.append_column("part", _part_of(g["obj"], n_parts))
-
-        new_ranks = (e3.map_batches(contrib, batch_format="pyarrow",
-                                    batch_size=None)
-                     .union(zero_rows)
-                     .groupby("part")
-                     .map_groups(lambda t: final_sum(t),
-                                 batch_format="pyarrow"))
-        rank_tbl = _collect_table(
-            new_ranks, pa.schema([("node", pa.string()),
-                                  ("r", pa.int64())]))
-    return rd.from_arrow(rank_tbl)
-
-
-def _pagerank_join(e3, nodes, n_join, iters, damping_pct, rank_scale,
-                   base):
+def _pagerank_join(e3, nodes, n_join, iters, damping_pct, rank_scale):
     """Join-mode rounds: ranks stay a Dataset end-to-end (no driver-side
-    rank table) — one hash join + one combiner groupby per iteration."""
+    rank table) — one hash join + one combiner groupby per iteration.
+    The only route for graphs past ``PAGERANK_BROADCAST_MAX_NODES``;
+    same arithmetic, bit-identical output (equivalence-tested)."""
     from ray.data.aggregate import Sum
 
+    base = pa.scalar((rank_scale * (100 - damping_pct)) // 100, pa.int64())
     ranks = nodes.map_batches(
         lambda t: t.append_column(
-            "r", pa.array(np.full(t.num_rows, rank_scale, dtype=np.int64))),
+            "s", pa.array(np.full(t.num_rows, rank_scale, dtype=np.int64))),
         batch_format="pyarrow").materialize()
 
     zero_rows = nodes.map_batches(
         lambda t: pa.table({
-            "obj": t["node"],
+            "node": t["node"],
             "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64))}),
         batch_format="pyarrow").materialize()
+
+    def contrib(t: pa.Table) -> pa.Table:
+        inc = pc.divide(pc.multiply(t["s"], t["num"]), t["den"])
+        g = pa.table({"node": t["obj"], "inc": inc}).group_by(
+            ["node"]).aggregate([("inc", "sum")])
+        return g.rename_columns(["node", "inc"])
 
     for _ in range(iters):
         side = e3.join(ranks, join_type="inner", num_partitions=n_join,
                        on=("subj",), right_on=("node",))
-
-        def contrib(t: pa.Table) -> pa.Table:
-            inc = pc.divide(t["r"], t["d"])  # int64 // int64 floor
-            g = pa.table({"obj": t["obj"], "inc": inc}).group_by(
-                ["obj"]).aggregate([("inc", "sum")])
-            return g.rename_columns(["obj", "inc"])
-
         inc = (side.map_batches(contrib, batch_format="pyarrow",
                                 batch_size=None)
                .union(zero_rows)
-               .groupby("obj").aggregate(Sum("inc")))
-
-        def apply_rank(t: pa.Table) -> pa.Table:
-            r = pc.add(pa.scalar(base, pa.int64()),
-                       pc.divide(pc.multiply(pa.scalar(damping_pct,
-                                                       pa.int64()),
-                                             t["sum(inc)"]),
-                                 pa.scalar(100, pa.int64())))
-            return pa.table({"node": t["obj"],
-                             "r": pc.cast(r, pa.int64())})
-
-        ranks = inc.map_batches(apply_rank,
-                                batch_format="pyarrow").materialize()
+               .groupby("node").aggregate(Sum("inc")))
+        ranks = inc.map_batches(
+            lambda t: _damped(t.rename_columns(["node", "raw"]), base,
+                              damping_pct),
+            batch_format="pyarrow").materialize()
     return ranks
 
 
@@ -270,29 +329,26 @@ def degree_distribution(edges_ds, node_col: str = "subj"):
 
 
 def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
-                     max_hops: int = 3, mode: str = "auto",
-                     n_parts: int | None = None,
-                     max_driver_frontier: int = 200_000):
+                     max_hops: int = 3, n_parts: int | None = None):
     """Bounded multi-hop BFS over the entity graph: every node reachable
     within ``max_hops`` edges from the seed set (subjects of
     ``seed_pred`` facts), labeled with its MINIMUM hop distance — the
     "expand a seed list through the graph" primitive behind KG
     enrichment and taint/influence propagation.
 
-    Auto-routed like ``minhash_clusters``: ``mode="driver"`` keeps the
-    frontier on the driver (one ``ray.put`` broadcast + ``pc.is_in``
+    Routed by edge count: up to ``BFS_DRIVER_MAX_EDGES`` the driver keeps
+    the frontier (one ``ray.put`` broadcast + ``pc.is_in``
     semi-join per hop — lowest latency, right for seeded-entity
-    queries whose frontier is entity-scale); ``mode="ds"`` keeps
+    queries whose frontier is entity-scale); above it the ds route keeps
     frontier AND visited set as Datasets end-to-end — per hop one
     co-partitioned tag-union semi-join (frontier rows ride the edge
     exchange, the ``_attach_val`` idiom) expands, and one node-hash
     anti-join exchange subtracts the visited set, so driver traffic is
     a per-hop COUNT scalar no matter how wide the frontier gets (a
-    hop-2 web-graph frontier is not driver-sized). ``mode="auto"``
-    routes by edge count vs ``max_driver_frontier`` (the frontier is
-    bounded by the distinct-node count, itself edge-bounded).
+    hop-2 web-graph frontier is not driver-sized). The frontier is
+    bounded by the distinct-node count, itself edge-bounded.
     Output: ``(node, hops)`` with hops 0 for the seeds themselves;
-    driver mode returns pandas, ds mode a Dataset."""
+    the driver route returns pandas, the ds route a Dataset."""
     import pandas as pd
 
     from ..functions.hashing import fast_part_hash
@@ -307,10 +363,7 @@ def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
         m = t.filter(pc.equal(t["pred"], seed_pred))
         return pa.table({"node": pc.unique(m["subj"])})
 
-    if mode == "auto":
-        mode = "driver" if edges.count() <= max_driver_frontier else "ds"
-
-    if mode == "ds":
+    if edges.count() > BFS_DRIVER_MAX_EDGES:
         return _bfs_ds(edges,
                        facts_ds.map_batches(seed_partial,
                                             batch_format="pyarrow"),
@@ -429,8 +482,7 @@ def _bfs_ds(edges, seeds_ds, max_hops: int, n_parts: int):
 
 def connected_components(edges_ds, a_col: str = "norm_a",
                          b_col: str = "norm_b", n_parts: int | None = None,
-                         levels: int = 3,
-                         small_graph_edges: int = 200_000):
+                         levels: int = 3):
     """CONNECTED COMPONENTS of an undirected graph — the clustering
     closure behind near-dup group labeling and entity-graph community
     seeding. Component label = the MINIMUM node id in the component.
@@ -595,7 +647,7 @@ def connected_components(edges_ds, a_col: str = "norm_a",
 
     edges = edges_ds.map_batches(to_ab,
                                  batch_format="pyarrow").materialize()
-    if edges.count() <= small_graph_edges:
+    if edges.count() <= SMALL_GRAPH_EDGES:
         # SMALL-GRAPH FAST PATH: below ~10 MB of edges the contraction
         # pipeline's 2·levels exchange latencies dominate; one exact
         # single-task union-find (the same final-level primitive) does
@@ -621,92 +673,127 @@ def connected_components(edges_ds, a_col: str = "norm_a",
         batch_format="pyarrow")
 
 
+PAIR_SCHEMA = pa.schema([
+    ("v", pa.string()), ("w", pa.string()), ("n_common", pa.int64()),
+    ("ra", pa.int64()), ("is_edge", pa.int64()), ("deg_v", pa.int64()),
+    ("deg_w", pa.int64())])
+_PAIR_SUMS = [("n_common", "sum"), ("ra", "sum"), ("is_edge", "max"),
+              ("deg_v", "sum"), ("deg_w", "sum")]
+
+
+def _pair_table(edges_ds, a_col: str, b_col: str, n_parts: int,
+                weight_scale: int = 0):
+    """The NEIGHBOUR-PAIR TABLE behind the five wedge algorithms
+    (`triangle_count`, `neighborhood_jaccard`, `two_hop_scores`,
+    `resource_alloc_scores`, `clustering_coefficients`): one row per
+    unordered node pair v < w that is an edge or shares a neighbour,
+
+      n_common = |N(v) ∩ N(w)|
+      ra       = Σ_{z ∈ N(v) ∩ N(w)} weight_scale // deg(z)
+      is_edge  = 1 if (v, w) is an edge, else 0
+      deg_v, deg_w = the endpoint degrees on edge rows (0 elsewhere)
+
+    (``PAIR_SCHEMA``). Input rows are ORIENTED pairs a < b, e.g. the
+    co-occurrence edges: duplicates collapse here, but a pair given in
+    both orientations would count twice. Every caller feeds oriented
+    pairs, and the consumers' identities (Σ_edges n_common = 3 ·
+    triangles, n_tri(x) = ½ Σ_{x's edges} n_common) hold for them.
+
+    Shape: two exchanges. (1) The undirected adjacency hash-partitions
+    on the hub, so each hub's whole neighbour list co-locates: the hub
+    dedups it, emits every neighbour pair as a wedge (``triu_indices``
+    once per distinct degree, vectorized over the hubs of that degree)
+    plus one edge row per neighbour carrying its own degree, and sums
+    the rows per pair inside the partition. (2) A pair-hash exchange
+    folds the partials with one Arrow group_by.
+
+    SKEW NOTE: a hub of degree d emits d(d−1)/2 wedges, so Σ d² over
+    hubs bounds the traffic and one hot entity inflates one partition.
+    For corpora with power-law hubs, split hot neighbour lists (salt
+    the emit per neighbour-chunk pair) or cap / degree-sample hubs
+    before this stage; on the test corpora the co-occurrence degree is
+    bounded by mentions-per-page fan-in and needs neither (sf0.1: 331
+    edges, max degree 11, 2,814 wedges)."""
+    from ..functions.hashing import fast_part_hash
+
+    def undirect(t: pa.Table) -> pa.Table:
+        a = pc.cast(t[a_col], pa.string()).combine_chunks()
+        b = pc.cast(t[b_col], pa.string()).combine_chunks()
+        u = pa.concat_arrays([a, b])
+        return pa.table({"u": u, "x": pa.concat_arrays([b, a]),
+                         "part": pa.array(fast_part_hash(u, n_parts))})
+
+    def hub_pass(t: pa.Table) -> pa.Table:
+        t = (t.group_by(["u", "x"]).aggregate([])
+             .sort_by([("u", "ascending"), ("x", "ascending")]))
+        n = t.num_rows
+        u, x = t["u"].combine_chunks(), t["x"].combine_chunks()
+        hub = pc.dictionary_encode(u).indices
+        starts = np.flatnonzero(np.diff(hub.to_numpy(), prepend=-1))
+        deg = np.diff(np.append(starts, n))
+        idx = [(np.zeros(0, np.int64),) * 3]
+        for d in np.unique(deg[deg > 1]):
+            i, j = np.triu_indices(d, k=1)
+            s = starts[deg == d][:, None]
+            idx.append(((s + i).ravel(), (s + j).ravel(),
+                        np.full(s.size * i.size, weight_scale // d,
+                                np.int64)))
+        vi, wi, rw = (np.concatenate(c) for c in zip(*idx))
+        zw = pa.array(np.zeros(len(vi), np.int64))
+        wedges = pa.table([x.take(pa.array(vi)), x.take(pa.array(wi)),
+                           pa.array(np.ones(len(vi), np.int64)),
+                           pa.array(rw), zw, zw, zw], schema=PAIR_SCHEMA)
+        low = pc.less(u, x)
+        hub_deg = pa.array(np.repeat(deg, deg))
+        ze = pa.array(np.zeros(n, np.int64))
+        edges = pa.table([
+            pc.if_else(low, u, x), pc.if_else(low, x, u), ze, ze,
+            pa.array(np.ones(n, np.int64)),
+            pc.if_else(low, hub_deg, ze), pc.if_else(low, ze, hub_deg)],
+            schema=PAIR_SCHEMA)
+        g = _fold_pairs(pa.concat_tables([wedges, edges]))
+        key = pc.binary_join_element_wise(g["v"], g["w"], "\x1f")
+        return g.append_column("part", pa.array(fast_part_hash(key,
+                                                               n_parts)))
+
+    return (edges_ds.map_batches(undirect, batch_format="pyarrow")
+            .groupby("part").map_groups(hub_pass, batch_format="pyarrow")
+            .groupby("part").map_groups(_fold_pairs, batch_format="pyarrow"))
+
+
+def _fold_pairs(t: pa.Table) -> pa.Table:
+    g = t.group_by(["v", "w"]).aggregate(_PAIR_SUMS)
+    return g.select(["v", "w"] + [f"{c}_{f}" for c, f in _PAIR_SUMS]
+                    ).rename_columns(PAIR_SCHEMA.names).cast(PAIR_SCHEMA)
+
+
+def _edge_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["is_edge"], 1))
+
+
+def _open_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.equal(t["is_edge"], 0))
+
+
 def triangle_count(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b",
                    n_parts: int | None = None):
     """Global TRIANGLE COUNT over an oriented (a < b) undirected edge
     set — the standard graph-quality / community-density metric over the
-    entity co-occurrence graph.
-
-    Wedge-then-verify, all co-partitioned merges (no join operator):
-
-    1. distinct oriented edges, hash-partitioned on the LOW endpoint so
-       each hub's full neighbor list co-locates;
-    2. per hub, emit its wedges — all (v, w) neighbor pairs with v < w
-       (numpy ``triu_indices`` per hub, vectorized);
-    3. tag-union the wedges with the edge set keyed on the (v, w) pair,
-       co-partition on the pair hash, count wedge rows whose pair exists
-       as an edge (each triangle u<v<w is found exactly once: wedge at
-       hub u, closing edge (v, w));
-    4. one scalar Sum aggregate.
-
-    SKEW NOTE: a hub of degree d emits d(d-1)/2 wedges, so a single hot
-    entity inflates one partition. For corpora with power-law hubs,
-    split hot neighbor lists (salt the wedge emit per neighbor-chunk
-    pair) or cap/degree-sample hubs before this stage; on the test
-    corpora the max co-occurrence degree is bounded by mentions-per-page
-    fan-in and needs neither. Returns a 1-row pandas frame
-    ``(n_triangles)``."""
+    entity co-occurrence graph. Each triangle closes three edges, each
+    of which counts its third corner as a common neighbour, so the count
+    is Σ_edges n_common // 3 over `_pair_table`, summed by one scalar
+    aggregate. Returns a 1-row pandas frame ``(n_triangles)``."""
     from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-
-    def to_ab(t: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(t[a_col], pa.string()),
-                         "b": pc.cast(t[b_col], pa.string())})
-
-    edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def tag_hub(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["a"], n_parts)))
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in df.groupby("a"):
-            nb = np.sort(grp["b"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            outs.append(pd.DataFrame({"v": nb[i], "w": nb[j]}))
-        if not outs:
-            return pd.DataFrame({"v": pd.Series([], dtype=object),
-                                 "w": pd.Series([], dtype=object),
-                                 "is_edge": pd.Series([], dtype="int64")})
-        out = pd.concat(outs, ignore_index=True)
-        out["is_edge"] = np.zeros(len(out), dtype=np.int64)
-        return out
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"v": t["a"], "w": t["b"],
-                         "is_edge": pa.array(np.ones(t.num_rows, np.int64))})
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t["v"], t["w"], "\x1f")
-        return t.append_column(
-            "part", pa.array(fast_part_hash(key, n_parts)))
-
-    wedge_ds = (edges.map_batches(tag_hub, batch_format="pyarrow")
-                .groupby("part").map_groups(wedges, batch_format="pandas"))
-    tagged = (wedge_ds.map_batches(tag_pair, batch_format="pyarrow")
-              .union(edges.map_batches(edge_rows, batch_format="pyarrow")
-                     .map_batches(tag_pair, batch_format="pyarrow")))
-
-    def close(df: pd.DataFrame) -> pd.DataFrame:
-        have = df.loc[df["is_edge"] == 1, ["v", "w"]]
-        keys = set(zip(have["v"], have["w"]))
-        wdg = df.loc[df["is_edge"] == 0, ["v", "w"]]
-        n = sum(1 for p in zip(wdg["v"], wdg["w"]) if p in keys)
-        return pd.DataFrame({"n": pd.array([n], dtype="int64")})
-
-    from ray.data.aggregate import Sum
-
-    total = (tagged.groupby("part").map_groups(close, batch_format="pandas")
-             .aggregate(Sum("n")))
+    pairs = _pair_table(edges_ds, a_col, b_col,
+                        n_parts or default_parts(1.0))
+    total = pairs.map_batches(
+        lambda t: pa.table({"n": [pc.sum(_edge_rows(t)["n_common"])
+                                  .as_py() or 0]}),
+        batch_format="pyarrow").sum("n") or 0
     return pd.DataFrame({"n_triangles":
-                         pd.array([total["sum(n)"] or 0], dtype="int64")})
+                         pd.array([total // 3], dtype="int64")})
 
 
 def neighborhood_jaccard(edges_ds, a_col: str = "norm_a",
@@ -721,156 +808,24 @@ def neighborhood_jaccard(edges_ds, a_col: str = "norm_a",
     the denominator is |N(a) ∪ N(b)| with both endpoints counted, as in
     the standard formulation over adjacency sets).
 
-    Shape: wedge counting (same hub-partitioned ``triu_indices`` emit as
-    ``triangle_count``, over the UNDIRECTED adjacency so wedges at every
-    hub are seen) → one pair-keyed merge that counts wedges per existing
-    edge (zero-filled) → two degree-attach co-partitioned merges. Four
-    bounded exchanges; the hot-hub Σd² wedge bound and its salting
-    mitigation are the same as ``triangle_count``."""
+    Shape: the edge rows of `_pair_table`, which already carry both
+    endpoint degrees (zero common neighbours included) — no exchange
+    beyond the kernel's two."""
     from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-
-    def to_ab(t: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(t[a_col], pa.string()),
-                         "b": pc.cast(t[b_col], pa.string())})
-
-    edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def undirect(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "u": pa.concat_arrays([t["a"].combine_chunks(),
-                                   t["b"].combine_chunks()]),
-            "v": pa.concat_arrays([t["b"].combine_chunks(),
-                                   t["a"].combine_chunks()])})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow").materialize()
-
-    # --- degrees: combiner → one bounded exchange ---
-    def deg_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({"u": t["u"],
-                      "d": pa.array(np.ones(t.num_rows, np.int64))}
-                     ).group_by("u").aggregate([("d", "sum")])
-        g = g.rename_columns(["u", "d"])
-        return g.append_column("part", pa.array(fast_part_hash(g["u"],
-                                                               n_parts)))
-
-    def deg_final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("u", as_index=False)["d"].sum()
-
-    deg = (und.map_batches(deg_partial, batch_format="pyarrow")
-           .groupby("part").map_groups(deg_final, batch_format="pandas")
-           .materialize())
-
-    # --- wedges at every hub of the undirected adjacency ---
-    def tag_hub(t: pa.Table) -> pa.Table:
-        return t.append_column("part",
-                               pa.array(fast_part_hash(t["u"], n_parts)))
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in df.groupby("u"):
-            nb = np.sort(grp["v"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            outs.append(pd.DataFrame({"v": nb[i], "w": nb[j]}))
-        if not outs:
-            return pd.DataFrame({"v": pd.Series([], dtype=object),
-                                 "w": pd.Series([], dtype=object),
-                                 "kind": pd.Series([], dtype="int64")})
-        out = pd.concat(outs, ignore_index=True)
-        out["kind"] = np.zeros(len(out), dtype=np.int64)
-        return out
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"v": t["a"], "w": t["b"],
-                         "kind": pa.array(np.ones(t.num_rows, np.int64))})
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t["v"], t["w"], "\x1f")
-        return t.append_column("part",
-                               pa.array(fast_part_hash(key, n_parts)))
-
-    tagged = (und.map_batches(tag_hub, batch_format="pyarrow")
-              .groupby("part").map_groups(wedges, batch_format="pandas")
-              .map_batches(tag_pair, batch_format="pyarrow")
-              .union(edges.map_batches(edge_rows, batch_format="pyarrow")
-                     .map_batches(tag_pair, batch_format="pyarrow")))
-
-    def count_cn(df: pd.DataFrame) -> pd.DataFrame:
-        wdg = df[df["kind"] == 0]
-        cnt = wdg.groupby(["v", "w"]).size()
-        ed = df.loc[df["kind"] == 1, ["v", "w"]]
-        keys = pd.MultiIndex.from_frame(ed)
-        cn = cnt.reindex(keys).fillna(0).astype("int64").to_numpy()
-        return pd.DataFrame({"a": ed["v"].to_numpy(),
-                             "b": ed["w"].to_numpy(), "cn": cn})
-
-    with_cn = tagged.groupby("part").map_groups(count_cn,
-                                                batch_format="pandas")
-
-    def attach_deg(pairs_ds, key: str, out: str):
-        def tag_p(t: pa.Table) -> pa.Table:
-            t = t.append_column(
-                "k", pc.cast(t[key], pa.string()))
-            return t.append_column(
-                "part", pa.array(fast_part_hash(t["k"], n_parts)))
-
-        def tag_d(t: pa.Table) -> pa.Table:
-            cols = {"k": t["u"], "dd": pc.cast(t["d"], pa.int64()),
-                    "part": pa.array(fast_part_hash(t["u"], n_parts))}
-            return pa.table(cols)
-
-        def merge(df: pd.DataFrame) -> pd.DataFrame:
-            dd = (df.loc[df["dd"].notna(), ["k", "dd"]]
-                  .drop_duplicates("k").set_index("k")["dd"])
-            rows = df[df["dd"].isna()].drop(columns=["dd", "part"])
-            got = rows["k"].map(dd).astype("int64")
-            rows = rows.drop(columns=["k"])
-            rows[out] = got.to_numpy()
-            return rows
-
-        # pandas concat-union via tag columns: align schemas first
-        def widen_p(t: pa.Table) -> pa.Table:
-            return t.append_column("dd", pa.nulls(t.num_rows, pa.int64()))
-
-        u = (pairs_ds.map_batches(tag_p, batch_format="pyarrow")
-             .map_batches(widen_p, batch_format="pyarrow")
-             .union(tag_d_ds(tag_d)))
-        return u.groupby("part").map_groups(merge, batch_format="pandas")
-
-    def tag_d_ds(fn):
-        def widen_d(t: pa.Table) -> pa.Table:
-            for name in extra_cols:
-                t = t.append_column(name, pa.nulls(t.num_rows,
-                                                   extra_cols[name]))
-            return t
-
-        return deg.map_batches(fn, batch_format="pyarrow").map_batches(
-            widen_d, batch_format="pyarrow")
-
-    extra_cols = {"a": pa.string(), "b": pa.string(), "cn": pa.int64()}
-    step1 = attach_deg(with_cn, "a", "da")
-    extra_cols = {"a": pa.string(), "b": pa.string(), "cn": pa.int64(),
-                  "da": pa.int64()}
-    step2 = attach_deg(step1, "b", "db")
 
     def finish(t: pa.Table) -> pa.Table:
-        cn = t["cn"].to_numpy(zero_copy_only=False)
-        da = t["da"].to_numpy(zero_copy_only=False)
-        db = t["db"].to_numpy(zero_copy_only=False)
-        denom = da + db - cn
+        t = _edge_rows(t)
+        cn = t["n_common"].to_numpy()
+        denom = t["deg_v"].to_numpy() + t["deg_w"].to_numpy() - cn
         jm = np.where(denom > 0, (1_000_000 * cn) // np.maximum(denom, 1),
                       0).astype(np.int64)
-        return pa.table({"norm_a": t["a"], "norm_b": t["b"],
-                         "common_neighbors": pa.array(cn.astype(np.int64)),
+        return pa.table({"norm_a": t["v"], "norm_b": t["w"],
+                         "common_neighbors": t["n_common"],
                          "jaccard_micro": pa.array(jm)})
 
-    return step2.map_batches(finish, batch_format="pyarrow")
+    return _pair_table(edges_ds, a_col, b_col,
+                       n_parts or default_parts(1.0)).map_batches(
+        finish, batch_format="pyarrow")
 
 
 def pagerank_weighted(edges_ds, a_col: str = "norm_a",
@@ -886,10 +841,9 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
     // 100`` with ``W(u) = Σ_x w(u,x)`` — per-edge floor division, so
     the distributed sum replays bit-exactly in the unrolled SQL oracle.
 
-    Same broadcast shape as ``pagerank``: the rank table (#nodes scale)
-    ships once per round via ``ray.put``; the weighted edge table with
-    its precomputed out-weight never re-shuffles; one combiner-bounded
-    exchange per round."""
+    Shape: the out-weight W attaches to the undirected edges once (one
+    co-partitioned tag-union merge keyed on the source); every round is
+    one `_rank_sums` broadcast round with num = w, den = W."""
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)
     import ray.data as rd
@@ -941,9 +895,9 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
                 .rename_columns(["src", "W"]))
         rows = t.filter(pc.invert(mask))
         idx = pc.index_in(rows["src"], value_set=lsum["src"].combine_chunks())
-        return pa.table({"src": rows["src"], "dst": rows["dst"],
-                         "w": rows["w"],
-                         "W": pc.take(lsum["W"].combine_chunks(), idx)})
+        return pa.table({"subj": rows["src"], "obj": rows["dst"],
+                         "num": rows["w"],
+                         "den": pc.take(lsum["W"].combine_chunks(), idx)})
 
     e3 = (und.map_batches(tag_edges, batch_format="pyarrow")
           .union(und.map_batches(wdeg_partial, batch_format="pyarrow")
@@ -951,64 +905,16 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
           .groupby("part").map_groups(wdeg_final, batch_format="pyarrow")
           .materialize())
 
-    def node_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["src"]})
-
-    nodes = _distinct(und.map_batches(node_rows, batch_format="pyarrow"),
+    nodes = _distinct(und.map_batches(lambda t: pa.table({"node": t["src"]}),
+                                      batch_format="pyarrow"),
                       ["node"]).materialize()
-    base = (rank_scale * (100 - damping_pct)) // 100
-
-    zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "obj": t["node"],
-            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "part": _part_of(t["node"], n_parts)}),
-        batch_format="pyarrow").materialize()
-
-    rank_tbl = _collect_table(nodes, pa.schema([("node", pa.string())]))
-    rank_tbl = rank_tbl.append_column(
-        "r", pa.array(np.full(rank_tbl.num_rows, rank_scale,
-                              dtype=np.int64)))
-
-    def final_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["obj"]).aggregate([("inc", "sum")])
-        g = g.rename_columns(["node", "s"])
-        r = pc.add(pa.scalar(base, pa.int64()),
-                   pc.divide(pc.multiply(pa.scalar(damping_pct, pa.int64()),
-                                         g["s"]),
-                             pa.scalar(100, pa.int64())))
-        return pa.table({"node": g["node"], "r": pc.cast(r, pa.int64())})
-
-    for _ in range(iters):
-        rank_ref = ray.put(rank_tbl)
-
-        def contrib(t: pa.Table) -> pa.Table:
-            rt = ray.get(rank_ref)
-            idx = pc.index_in(t["src"], value_set=rt["node"])
-            r = pc.take(rt["r"], idx)
-            inc = pc.divide(pc.multiply(r, t["w"]), t["W"])  # per-edge floor
-            g = pa.table({"obj": t["dst"], "inc": inc}).group_by(
-                ["obj"]).aggregate([("inc", "sum")])
-            g = g.rename_columns(["obj", "inc"])
-            return g.append_column("part", _part_of(g["obj"], n_parts))
-
-        new_ranks = (e3.map_batches(contrib, batch_format="pyarrow",
-                                    batch_size=None)
-                     .union(zero_rows)
-                     .groupby("part")
-                     .map_groups(lambda t: final_sum(t),
-                                 batch_format="pyarrow"))
-        rank_tbl = _collect_table(
-            new_ranks, pa.schema([("node", pa.string()),
-                                  ("r", pa.int64())]))
-    return rd.from_arrow(rank_tbl).map_batches(
-        lambda t: t.rename_columns(["node", "rank_micro"]),
-        batch_format="pyarrow")
+    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale, n_parts)
+    return rd.from_arrow(r.rename_columns(["node", "rank_micro"]))
 
 
 def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
                 b_col: str = "norm_b", max_rounds: int = 20,
-                n_parts: int | None = None, small_graph_edges: int = 200_000):
+                n_parts: int | None = None):
     """k-CORE decomposition by BOUNDED SIMULTANEOUS PEEL: nodes of the
     maximal subgraph where every node keeps degree ≥ k, computed as
     ``max_rounds`` Jacobi peel iterations (each round computes ALL
@@ -1024,7 +930,7 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
     Distributed shape per round: per-batch degree combiner over both
     endpoint columns → ONE node-keyed exchange → the DROPPED node set
     (bounded by that round's drops) broadcasts back to filter edges.
-    Graphs at or below ``small_graph_edges`` short-circuit to one
+    Graphs at or below ``SMALL_GRAPH_EDGES`` short-circuit to one
     exact single-task peel — the same small-graph rule as
     ``connected_components``."""
     from ..runtime import default_parts
@@ -1064,7 +970,7 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
         import ray.data as rd
 
         return rd.from_arrow(pa.table({"node": pa.array([], pa.string())}))
-    if n_edges <= small_graph_edges:
+    if n_edges <= SMALL_GRAPH_EDGES:
         tagged = edges.map_batches(
             lambda t: t.append_column(
                 "part", pa.array(np.zeros(t.num_rows, np.int32))),
@@ -1132,87 +1038,19 @@ def two_hop_scores(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b",
     """LINK-PREDICTION candidate generation: every NON-adjacent node
     pair with ≥1 common neighbor, scored by common-neighbor count over
     the undirected graph — the 2-hop complement of
-    ``neighborhood_jaccard`` (which scores EXISTING edges).
-
-    Shape: undirect → hub-hash-partition → per-hub wedge emit
-    (vectorized ``triu_indices``) → tag-union with the edge set
-    co-partitioned on the (v, w) pair → per-partition count wedges and
-    DROP pairs that close an edge. Same hot-hub Σd² wedge bound (and
-    salting mitigation) as ``triangle_count``. Returns
-    (norm_a, norm_b, n_common) with norm_a < norm_b."""
+    ``neighborhood_jaccard`` (which scores EXISTING edges): the non-edge
+    rows of `_pair_table`. Returns (norm_a, norm_b, n_common) with
+    norm_a < norm_b."""
     from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
+    def finish(t: pa.Table) -> pa.Table:
+        t = _open_rows(t)
+        return pa.table({"norm_a": t["v"], "norm_b": t["w"],
+                         "n_common": t["n_common"]})
 
-    def to_ab(t: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(t[a_col], pa.string()),
-                         "b": pc.cast(t[b_col], pa.string())})
-
-    edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def undirect(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "u": pa.concat_arrays([t["a"].combine_chunks(),
-                                   t["b"].combine_chunks()]),
-            "v": pa.concat_arrays([t["b"].combine_chunks(),
-                                   t["a"].combine_chunks()])})
-
-    def tag_hub(t: pa.Table) -> pa.Table:
-        return t.append_column("part",
-                               pa.array(fast_part_hash(t["u"], n_parts)))
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in df.groupby("u"):
-            nb = np.sort(grp["v"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            outs.append(pd.DataFrame({"v": nb[i], "w": nb[j]}))
-        if not outs:
-            return pd.DataFrame({"v": pd.Series([], dtype=object),
-                                 "w": pd.Series([], dtype=object),
-                                 "kind": pd.Series([], dtype="int64")})
-        out = pd.concat(outs, ignore_index=True)
-        # partial count inside the partition: the exchange ships one row
-        # per (v, w) per partition, not one per wedge
-        out = out.groupby(["v", "w"], as_index=False).size()
-        out = out.rename(columns={"size": "kind"})
-        out["kind"] = out["kind"].astype("int64")  # >0 ⇒ wedge count
-        return out
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"v": t["a"], "w": t["b"],
-                         "kind": pa.array(np.full(t.num_rows, -1,
-                                                  np.int64))})
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t["v"], t["w"], "\x1f")
-        return t.append_column("part",
-                               pa.array(fast_part_hash(key, n_parts)))
-
-    und = edges.map_batches(undirect, batch_format="pyarrow")
-    tagged = (und.map_batches(tag_hub, batch_format="pyarrow")
-              .groupby("part").map_groups(wedges, batch_format="pandas")
-              .map_batches(tag_pair, batch_format="pyarrow")
-              .union(edges.map_batches(edge_rows, batch_format="pyarrow")
-                     .map_batches(tag_pair, batch_format="pyarrow")))
-
-    def open_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["v", "w"], as_index=False)["kind"].agg(["sum",
-                                                                "min"])
-        # min < 0 ⇒ an edge row is present ⇒ the pair is closed
-        g = g[g["min"] > 0]
-        return pd.DataFrame({"norm_a": g["v"].to_numpy(),
-                             "norm_b": g["w"].to_numpy(),
-                             "n_common": g["sum"].astype("int64")
-                                                 .to_numpy()})
-
-    return tagged.groupby("part").map_groups(open_pairs,
-                                             batch_format="pandas")
+    return _pair_table(edges_ds, a_col, b_col,
+                       n_parts or default_parts(1.0)).map_batches(
+        finish, batch_format="pyarrow")
 
 
 def _tarjan_scc(df) -> "pd.DataFrame":
@@ -1420,8 +1258,7 @@ def _attach_val(edges, vals, key_col: str, out_col: str, n_parts: int):
 
 
 def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
-               max_rounds: int = 30, n_parts: int | None = None,
-               small_graph_edges: int = 200_000):
+               max_rounds: int = 30, n_parts: int | None = None):
     """STRONGLY CONNECTED COMPONENTS of a directed edge Dataset, by
     forward-backward coloring (Orzan-style FB decomposition, the
     standard Pregel-model SCC): per round (1) a TRIM fixpoint peels
@@ -1452,7 +1289,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     condensation removes every such local cycle up front).
 
     scc_id = min node id of the component (Tarjan short-circuit at or
-    below ``small_graph_edges`` edges and the SQL closure oracle use
+    below ``SMALL_GRAPH_EDGES`` edges and the SQL closure oracle use
     the same convention). Returns (node, scc_id) covering every node
     incident to an edge; isolated original nodes are their own
     singleton SCCs by construction."""
@@ -1485,7 +1322,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     dbg = os.environ.get("GRAFT_SCC_DEBUG")
 
     member_map = None  # (node, rep) for condensed-away members
-    if edges.count() > small_graph_edges:
+    if edges.count() > SMALL_GRAPH_EDGES:
         # per-partition Tarjan condensation (see docstring). RANGE
         # partitioning, not hash: a hash of `a` scatters every cycle's
         # edges across partitions (a k-cycle lands whole with
@@ -1560,7 +1397,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
                   file=sys.stderr, flush=True)
         if n_edges == 0:
             break
-        if n_edges <= small_graph_edges:
+        if n_edges <= SMALL_GRAPH_EDGES:
             tagged = edges.map_batches(
                 lambda t: t.append_column(
                     "part", pa.array(np.zeros(t.num_rows, np.int32))),
@@ -1753,12 +1590,12 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     # cross-color or their component was a single node)
     out = out.materialize()
 
-    def singles(df: pd.DataFrame) -> pd.DataFrame:
+    def singles(df: pd.DataFrame) -> pa.Table:
         got = df[df["scc_id"].notna()]
         missing = df.loc[~df["node"].isin(set(got["node"])), "node"]
-        uniq = pd.unique(missing).astype(object)
-        return pd.DataFrame({"node": pd.Series(uniq, dtype=object),
-                             "scc_id": pd.Series(uniq, dtype=object)})
+        # typed Arrow output: no empty object-dtype pandas blocks
+        uniq = pa.array(pd.unique(missing).astype(object), pa.string())
+        return pa.table({"node": uniq, "scc_id": uniq})
 
     def tag_out(t: pa.Table) -> pa.Table:
         return t.append_column(
@@ -1789,7 +1626,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
 
 
 def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
-                   n_parts: int | None = None, **scc_kw):
+                   n_parts: int | None = None):
     """BOW-TIE DECOMPOSITION of a directed graph (Broder et al. 2000,
     the canonical web-graph macro-structure): CORE = the largest SCC
     (ties → min scc_id), IN = nodes that reach the core but are not in
@@ -1815,8 +1652,7 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
                       ["a", "b"], n_parts=n_parts).materialize()
 
-    small_cutoff = scc_kw.get("small_graph_edges", 200_000)
-    if edges.count() <= small_cutoff:
+    if edges.count() <= SMALL_GRAPH_EDGES:
         # single exact task: Tarjan + BFS both ways from the core
         def local(df: pd.DataFrame) -> pd.DataFrame:
             comp = _tarjan_scc(df)
@@ -1858,8 +1694,8 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
         return tagged.groupby("part").map_groups(local,
                                                  batch_format="pandas")
 
-    sccs = scc_labels(edges, a_col="a", b_col="b", n_parts=n_parts,
-                      **scc_kw).materialize()
+    sccs = scc_labels(edges, a_col="a", b_col="b",
+                      n_parts=n_parts).materialize()
 
     # core = largest SCC, ties -> min scc_id; per-block partial top-1
     # keeps driver data bounded
@@ -1936,87 +1772,21 @@ def resource_alloc_scores(edges_ds, a_col: str = "norm_a",
     ``weight_scale // deg(z)``, summed as int64, so the DuckDB oracle
     replays bit-for-bit (the kg_pagerank fixed-point trick).
 
-    Shape is ``two_hop_scores`` with one addition: the hub-hash
-    partition already co-locates EVERY neighbor of a hub, so deg(hub)
-    is free inside the wedge pass (len of the neighbor list — no extra
-    degree exchange). Returns (norm_a, norm_b, n_common, ra_score)."""
+    Shape is ``two_hop_scores``' with the kernel's ``ra`` column kept
+    (deg(hub) is free inside `_pair_table`'s hub pass: the length of the
+    co-located neighbour list). Returns (norm_a, norm_b, n_common,
+    ra_score)."""
     from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
+    def finish(t: pa.Table) -> pa.Table:
+        t = _open_rows(t)
+        return pa.table({"norm_a": t["v"], "norm_b": t["w"],
+                         "n_common": t["n_common"], "ra_score": t["ra"]})
 
-    def to_ab(t: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(t[a_col], pa.string()),
-                         "b": pc.cast(t[b_col], pa.string())})
-
-    edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def undirect(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "u": pa.concat_arrays([t["a"].combine_chunks(),
-                                   t["b"].combine_chunks()]),
-            "v": pa.concat_arrays([t["b"].combine_chunks(),
-                                   t["a"].combine_chunks()])})
-
-    def tag_hub(t: pa.Table) -> pa.Table:
-        return t.append_column("part",
-                               pa.array(fast_part_hash(t["u"], n_parts)))
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in df.groupby("u"):
-            nb = np.sort(grp["v"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            # deg(hub) = its full neighbor count (co-located here)
-            w = weight_scale // len(nb)
-            outs.append(pd.DataFrame({"v": nb[i], "w": nb[j],
-                                      "cnt": np.int64(1),
-                                      "rw": np.int64(w)}))
-        if not outs:
-            return pd.DataFrame({"v": pd.Series([], dtype=object),
-                                 "w": pd.Series([], dtype=object),
-                                 "cnt": pd.Series([], dtype="int64"),
-                                 "rw": pd.Series([], dtype="int64")})
-        out = pd.concat(outs, ignore_index=True)
-        # partial sums inside the partition: ship one row per (v, w)
-        out = out.groupby(["v", "w"], as_index=False)[["cnt", "rw"]].sum()
-        out["cnt"] = out["cnt"].astype("int64")
-        out["rw"] = out["rw"].astype("int64")
-        return out
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"v": t["a"], "w": t["b"],
-                         "cnt": pa.array(np.full(t.num_rows, -1, np.int64)),
-                         "rw": pa.array(np.zeros(t.num_rows, np.int64))})
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t["v"], t["w"], "\x1f")
-        return t.append_column("part",
-                               pa.array(fast_part_hash(key, n_parts)))
-
-    und = edges.map_batches(undirect, batch_format="pyarrow")
-    tagged = (und.map_batches(tag_hub, batch_format="pyarrow")
-              .groupby("part").map_groups(wedges, batch_format="pandas")
-              .map_batches(tag_pair, batch_format="pyarrow")
-              .union(edges.map_batches(edge_rows, batch_format="pyarrow")
-                     .map_batches(tag_pair, batch_format="pyarrow")))
-
-    def open_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["v", "w"], as_index=False).agg(
-            s=("cnt", "sum"), mn=("cnt", "min"), rw=("rw", "sum"))
-        g = g[g["mn"] > 0]  # an edge row (-1) marks the pair closed
-        return pd.DataFrame({"norm_a": g["v"].to_numpy(),
-                             "norm_b": g["w"].to_numpy(),
-                             "n_common": g["s"].astype("int64").to_numpy(),
-                             "ra_score": g["rw"].astype("int64")
-                                                .to_numpy()})
-
-    return tagged.groupby("part").map_groups(open_pairs,
-                                             batch_format="pandas")
+    return _pair_table(edges_ds, a_col, b_col,
+                       n_parts or default_parts(1.0),
+                       weight_scale=weight_scale).map_batches(
+        finish, batch_format="pyarrow")
 
 
 def label_prop_communities(edges_ds, a_col: str = "norm_a",
@@ -2112,8 +1882,7 @@ def label_prop_communities(edges_ds, a_col: str = "norm_a",
 
 
 def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
-                n_parts: int | None = None,
-                small_graph_edges: int = 200_000):
+                n_parts: int | None = None):
     """Integer HITS (Kleinberg hubs & authorities) over a directed
     (subj, obj) edge Dataset — the classic web-graph ranking pair next
     to `pagerank` (the reference emits the static link graph these run
@@ -2130,17 +1899,19 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
     scale² < 2^63 (≈9.2e6 at the default scale — lower ``scale`` for
     hotter authorities).
 
-    Shape: distinct edges once; graphs at or below
-    ``small_graph_edges`` short-circuit into ONE exact single-task
-    vectorized run (the `kcore_nodes`/`scc_labels` small-graph rule —
-    2·iters np.add.at passes, identical arithmetic). Above it, per
-    round TWO broadcast half-steps (score table shipped via ``ray.put``
-    at #nodes scale — the same documented ≤5M-node broadcast regime as
-    `pagerank`; a join-mode mirror of `_pagerank_join` is the >5M-node
-    path), each half a stateless edge map with a per-batch combiner →
-    ONE part-hash exchange → vectorized per-partition sum. Returns
-    (node, hub_scaled, auth_scaled).
+    Shape: distinct edges once; graphs at or below ``SMALL_GRAPH_EDGES``
+    short-circuit into ONE exact single-task vectorized run (the
+    `kcore_nodes`/`scc_labels` small-graph rule — 2·iters np.add.at
+    passes, identical arithmetic). Above it, each half-step is one
+    `_rank_sums` broadcast round (num = den = 1) over the edges, the
+    backward half with src and dst swapped. The score table ships to
+    the workers every half-step, so HITS is bounded by the same
+    broadcast regime as `pagerank`'s default route; only `pagerank` has
+    a join route for larger node sets. Returns (node, hub_scaled,
+    auth_scaled).
     """
+    import ray.data as rd
+
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)
 
@@ -2174,7 +1945,7 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
         return pd.DataFrame({"node": uniq, "hub_scaled": hub,
                              "auth_scaled": auth})
 
-    if edges.count() <= small_graph_edges:
+    if edges.count() <= SMALL_GRAPH_EDGES:
         tagged = edges.map_batches(
             lambda t: t.append_column(
                 "part", pa.array(np.zeros(t.num_rows, np.int32))),
@@ -2183,68 +1954,27 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
                 .map_groups(lambda df: hits_local(df.drop(columns="part")),
                             batch_format="pandas"))
 
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table({"node": pa.concat_arrays(
-            [c.combine_chunks() for c in (t["subj"], t["obj"])])})
+    node_col, zero_rows = _rank_setup(_node_set(edges), n_parts)
+    def unit_weights(t: pa.Table) -> pa.Table:
+        ones = pa.array(np.ones(t.num_rows, np.int64))
+        return t.append_column("num", ones).append_column("den", ones)
 
-    nodes = _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
-                      ["node"]).materialize()
+    unit = edges.map_batches(unit_weights,
+                             batch_format="pyarrow").materialize()
 
-    # endpoint-less nodes as zero contributions, partitioned once
-    zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "node": t["node"],
-            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "part": _part_of(t["node"], n_parts)}),
-        batch_format="pyarrow").repartition(
-        max(8, n_parts // 4)).materialize()
+    def normalized(raw: pa.Table) -> pa.Table:
+        mx = pc.max(raw["raw"]).as_py() or 0
+        s = (pc.divide(pc.multiply(raw["raw"], pa.scalar(scale, pa.int64())),
+                       pa.scalar(mx, pa.int64())) if mx > 0 else raw["raw"])
+        return pa.table({"node": raw["node"], "s": pc.cast(s, pa.int64())})
 
-    node_schema = pa.schema([("node", pa.string()), ("raw", pa.int64())])
-
-    def half_step(score_tbl: pa.Table, from_col: str,
-                  to_col: str) -> pa.Table:
-        import ray
-
-        ref = ray.put(score_tbl)
-
-        def contrib(t: pa.Table) -> pa.Table:
-            st = ray.get(ref)  # zero-copy object-store read
-            idx = pc.index_in(t[from_col], value_set=st["node"])
-            g = pa.table({"node": t[to_col],
-                          "inc": pc.take(st["s"], idx)}).group_by(
-                ["node"]).aggregate([("inc", "sum")])
-            g = g.rename_columns(["node", "inc"])
-            return g.append_column("part", _part_of(g["node"], n_parts))
-
-        def psum(t: pa.Table) -> pa.Table:
-            g = t.group_by(["node"]).aggregate([("inc", "sum")])
-            return g.rename_columns(["node", "raw"])
-
-        raw_ds = (edges.map_batches(contrib, batch_format="pyarrow",
-                                    batch_size=None)
-                  .union(zero_rows)
-                  .groupby("part").map_groups(psum, batch_format="pyarrow"))
-        tbl = _collect_table(raw_ds, node_schema)
-        mx = pc.max(tbl["raw"]).as_py() or 0
-        if mx > 0:
-            s = pc.divide(pc.multiply(tbl["raw"],
-                                      pa.scalar(scale, pa.int64())),
-                          pa.scalar(mx, pa.int64()))
-        else:
-            s = pa.array(np.zeros(tbl.num_rows, dtype=np.int64))
-        return pa.table({"node": tbl["node"],
-                         "s": pc.cast(s, pa.int64())})
-
-    hub = _collect_table(nodes, pa.schema([("node", pa.string())]))
-    hub = pa.table({
-        "node": hub["node"],
-        "s": pa.array(np.full(hub.num_rows, scale, dtype=np.int64))})
+    hub = pa.table({"node": node_col, "s": pa.array(
+        np.full(len(node_col), scale, dtype=np.int64))})
     auth = None
     for _ in range(iters):
-        auth = half_step(hub, "subj", "obj")
-        hub = half_step(auth, "obj", "subj")
-
-    import ray.data as rd
+        auth = normalized(_rank_sums(unit, hub, zero_rows, n_parts))
+        hub = normalized(_rank_sums(unit, auth, zero_rows, n_parts,
+                                    src="obj", dst="subj"))
 
     idx = pc.index_in(hub["node"], value_set=auth["node"].combine_chunks())
     return rd.from_arrow(pa.table({
@@ -2267,73 +1997,23 @@ def trust_rank(edges_ds, seeds, iters: int = 5, damping_pct: int = 85,
     `pagerank` arithmetic with the uniform teleport term masked to S.
     Nodes unreachable from S stay at exactly 0.
 
-    Shape: identical to `_pagerank_broadcast` (the ≤5M-node broadcast
-    regime): per round the rank table ships via ``ray.put``, edges map
-    statelessly with a per-batch combiner, ONE part-hash exchange,
-    vectorized per-partition sum. The seed set rides in the task
-    closure — curated trust seeds are small by construction (document
-    `ray.put` if a seed set ever approaches node scale). Returns
-    (node, trust_micro).
+    Shape: `pagerank`'s broadcast route — one `_rank_sums` round per
+    iteration. The seed set rides in the driver-side update — curated
+    trust seeds are small by construction. Returns (node, trust_micro).
     """
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     import ray.data as rd
 
+    from ..runtime import default_parts
+    n_parts = n_parts or default_parts(1.0)
+
     e3, nodes, _ = _prepare(edges_ds)
-    base = (rank_scale * (100 - damping_pct)) // 100
-    seed_arr = pa.array(sorted(set(seeds)), pa.string())
-
-    zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "obj": t["node"],
-            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "part": _part_of(t["node"], n_parts)}),
-        batch_format="pyarrow").materialize()
-
-    rank_tbl = _collect_table(nodes, pa.schema([("node", pa.string())]))
-    seeded0 = pc.is_in(rank_tbl["node"], value_set=seed_arr)
-    rank_tbl = rank_tbl.append_column("r", pc.if_else(
-        seeded0, pa.scalar(rank_scale, pa.int64()),
-        pa.scalar(0, pa.int64())))
-
-    def final_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["obj"]).aggregate([("inc", "sum")])
-        g = g.rename_columns(["node", "s"])
-        seed_base = pc.if_else(pc.is_in(g["node"], value_set=seed_arr),
-                               pa.scalar(base, pa.int64()),
-                               pa.scalar(0, pa.int64()))
-        r = pc.add(seed_base,
-                   pc.divide(pc.multiply(pa.scalar(damping_pct, pa.int64()),
-                                         g["s"]),
-                             pa.scalar(100, pa.int64())))
-        return pa.table({"node": g["node"], "r": pc.cast(r, pa.int64())})
-
-    for _ in range(iters):
-        rank_ref = ray.put(rank_tbl)
-
-        def contrib(t: pa.Table) -> pa.Table:
-            rt = ray.get(rank_ref)  # zero-copy object-store read
-            idx = pc.index_in(t["subj"], value_set=rt["node"])
-            inc = pc.divide(pc.take(rt["r"], idx), t["d"])  # floor div
-            g = pa.table({"obj": t["obj"], "inc": inc}).group_by(
-                ["obj"]).aggregate([("inc", "sum")])
-            g = g.rename_columns(["obj", "inc"])
-            return g.append_column("part", _part_of(g["obj"], n_parts))
-
-        new_ranks = (e3.map_batches(contrib, batch_format="pyarrow",
-                                    batch_size=None)
-                     .union(zero_rows)
-                     .groupby("part")
-                     .map_groups(final_sum, batch_format="pyarrow"))
-        rank_tbl = _collect_table(
-            new_ranks, pa.schema([("node", pa.string()),
-                                  ("r", pa.int64())]))
-    return rd.from_arrow(rank_tbl.rename_columns(["node", "trust_micro"]))
+    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale, n_parts,
+                         seeds=seeds)
+    return rd.from_arrow(r.rename_columns(["node", "trust_micro"]))
 
 
 def deterministic_walks(edges_ds, length: int = 4,
-                        n_parts: int | None = None,
-                        broadcast_max_edges: int = 2_000_000):
+                        n_parts: int | None = None):
     """GRAPH-WALK CORPUS generation (the node2vec/DeepWalk ingest:
     random walks become training sentences for graph embeddings) with a
     DETERMINISTIC next-hop rule so the DuckDB oracle replays exactly:
@@ -2346,7 +2026,7 @@ def deterministic_walks(edges_ds, length: int = 4,
     SQL-replayable hash family). One walk starts at every node; walks
     stop early at sinks. Returns (start, step, node), step 0..length.
 
-    Shape: ``length`` rounds. At or below ``broadcast_max_edges`` the
+    Shape: ``length`` rounds. At or below ``WALKS_BROADCAST_MAX_EDGES`` the
     adjacency (CSR-style numpy triple: sorted subj array, offsets, flat
     sorted neighbors) ships ONCE via ``ray.put`` and every round is a
     stateless map over the walk Dataset (#nodes rows, materialized per
@@ -2363,13 +2043,7 @@ def deterministic_walks(edges_ds, length: int = 4,
     import ray.data as rd
 
     edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
-
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table({"node": pa.concat_arrays(
-            [c.combine_chunks() for c in (t["subj"], t["obj"])])})
-
-    nodes = _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
-                      ["node"]).materialize()
+    nodes = _node_set(edges)
 
     outs = [nodes.map_batches(
         lambda t: pa.table({
@@ -2393,7 +2067,7 @@ def deterministic_walks(edges_ds, length: int = 4,
         nxt = flat_obj[offsets[idx] + (h % d)]
         return starts, nxt
 
-    if edges.count() <= broadcast_max_edges:
+    if edges.count() <= WALKS_BROADCAST_MAX_EDGES:
         et = _collect_table(edges, pa.schema([("subj", pa.string()),
                                               ("obj", pa.string())]))
         subj = et["subj"].to_numpy(zero_copy_only=False)
@@ -2578,116 +2252,41 @@ def clustering_coefficients(edges_ds, a_col: str = "norm_a",
     through it, and ``cc_micro = ⌊10⁶ · tri / C(deg, 2)⌋`` (0 when
     deg < 2), all-integer via ``(2·10⁶·tri) // (deg·(deg−1))``.
 
-    Same wedge-then-verify shape as `triangle_count` with the hub
-    CARRIED on each wedge: verified closings credit all three corners
-    (hub, v, w) as composable (node, tri) partials, which meet the
-    degree partials (one per edge endpoint) in ONE node-hash exchange.
-    The skew note from `triangle_count` applies unchanged (a degree-d
-    hub emits d(d−1)/2 wedges). Returns (node, degree, n_tri,
-    cc_micro)."""
+    Shape: the edge rows of `_pair_table`; each credits both endpoints
+    with (1 edge, n_common) per-batch partials, which fold in ONE
+    node-hash exchange: degree = Σ edges, n_tri = ½ Σ n_common (a
+    triangle through x closes two of x's edges). Returns (node, degree,
+    n_tri, cc_micro)."""
+    from ..functions.hashing import fast_part_hash
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)
-    import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
+    def corners(t: pa.Table) -> pa.Table:
+        t = _edge_rows(t)
+        cn = t["n_common"].combine_chunks()
+        g = (pa.table({"node": pa.concat_arrays([t["v"].combine_chunks(),
+                                                 t["w"].combine_chunks()]),
+                       "deg": pa.array(np.ones(2 * t.num_rows, np.int64)),
+                       "tri": pa.concat_arrays([cn, cn])})
+             .group_by("node").aggregate([("deg", "sum"), ("tri", "sum")])
+             .rename_columns(["node", "deg", "tri"]))
+        return g.append_column("part", pa.array(fast_part_hash(g["node"],
+                                                               n_parts)))
 
-    def to_ab(t: pa.Table) -> pa.Table:
-        return pa.table({"a": pc.cast(t[a_col], pa.string()),
-                         "b": pc.cast(t[b_col], pa.string())})
-
-    edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def tag_hub(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["a"], n_parts)))
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for hub, grp in df.groupby("a"):
-            nb = np.sort(grp["b"].to_numpy())
-            if len(nb) < 2:
-                continue
-            i, j = np.triu_indices(len(nb), k=1)
-            outs.append(pd.DataFrame({"u": np.full(len(i), hub,
-                                                   dtype=object),
-                                      "v": nb[i], "w": nb[j]}))
-        if not outs:
-            return pd.DataFrame({"u": pd.Series([], dtype=object),
-                                 "v": pd.Series([], dtype=object),
-                                 "w": pd.Series([], dtype=object),
-                                 "is_edge": pd.Series([], dtype="int64")})
-        out = pd.concat(outs, ignore_index=True)
-        out["is_edge"] = np.zeros(len(out), dtype=np.int64)
-        return out
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"u": pa.nulls(t.num_rows, pa.string()),
-                         "v": t["a"], "w": t["b"],
-                         "is_edge": pa.array(np.ones(t.num_rows,
-                                                     np.int64))})
-
-    def tag_pair(t: pa.Table) -> pa.Table:
-        key = pc.binary_join_element_wise(t["v"], t["w"], "\x1f")
-        return t.append_column(
-            "part", pa.array(fast_part_hash(key, n_parts)))
-
-    wedge_ds = (edges.map_batches(tag_hub, batch_format="pyarrow")
-                .groupby("part").map_groups(wedges, batch_format="pandas"))
-    tagged = (wedge_ds.map_batches(tag_pair, batch_format="pyarrow")
-              .union(edges.map_batches(edge_rows, batch_format="pyarrow")
-                     .map_batches(tag_pair, batch_format="pyarrow")))
-
-    def close_corners(df: pd.DataFrame) -> pd.DataFrame:
-        have = df.loc[df["is_edge"] == 1, ["v", "w"]]
-        keys = set(zip(have["v"], have["w"]))
-        wdg = df.loc[df["is_edge"] == 0, ["u", "v", "w"]]
-        hit = np.fromiter((p in keys for p in zip(wdg["v"], wdg["w"])),
-                          dtype=bool, count=len(wdg))
-        tri = wdg[hit]
-        corners = pd.DataFrame({
-            "node": np.concatenate([tri["u"].to_numpy(),
-                                    tri["v"].to_numpy(),
-                                    tri["w"].to_numpy()]),
-            "deg": np.zeros(3 * len(tri), np.int64),
-            "tri": np.ones(3 * len(tri), np.int64)})
-        g = corners.groupby("node", as_index=False).sum()
-        g["p2"] = fast_part_hash(g["node"], n_parts)
-        return g
-
-    def deg_rows(t: pa.Table) -> pa.Table:
-        node = pa.concat_arrays([t["a"].combine_chunks(),
-                                 t["b"].combine_chunks()])
-        g = (pa.table({"node": node,
-                       "deg": pa.array(np.ones(len(node), np.int64)),
-                       "tri": pa.array(np.zeros(len(node), np.int64))})
-             .group_by("node").aggregate([("deg", "sum"), ("tri", "sum")]))
-        g = g.rename_columns(["node", "deg", "tri"])
-        return g.append_column(
-            "p2", pa.array(fast_part_hash(g["node"], n_parts)))
-
-    corners = (tagged.groupby("part").map_groups(close_corners,
-                                                 batch_format="pandas")
-               # normalize to Arrow blocks: a pandas+arrow mixed union
-               # trips Ray 2.49's inferred-block-type assert downstream
-               .map_batches(lambda t: t, batch_format="pyarrow"))
-    merged = (corners
-              .union(edges.map_batches(deg_rows, batch_format="pyarrow"))
-              .repartition(n_parts))
-
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)[["deg", "tri"]].sum()
-        deg = g["deg"].astype("int64")
-        tri = g["tri"].astype("int64")
-        denom = (deg * (deg - 1)).to_numpy()
-        cc = np.where(denom > 0,
-                      (2_000_000 * tri.to_numpy()) // np.maximum(denom, 1),
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("deg", "sum"), ("tri", "sum")])
+        deg = g["deg_sum"].to_numpy()
+        tri = g["tri_sum"].to_numpy() // 2
+        denom = deg * (deg - 1)
+        cc = np.where(denom > 0, (2_000_000 * tri) // np.maximum(denom, 1),
                       0)
-        return pd.DataFrame({"node": g["node"], "degree": deg,
-                             "n_tri": tri,
-                             "cc_micro": cc.astype(np.int64)})
+        return pa.table({"node": g["node"], "degree": pa.array(deg),
+                         "n_tri": pa.array(tri),
+                         "cc_micro": pa.array(cc.astype(np.int64))})
 
-    return merged.groupby("p2").map_groups(fold, batch_format="pandas")
+    return (_pair_table(edges_ds, a_col, b_col, n_parts)
+            .map_batches(corners, batch_format="pyarrow")
+            .groupby("part").map_groups(fold, batch_format="pyarrow"))
 
 
 def degree_mixing_stats(edges_ds, a_col: str = "norm_a",

@@ -43,19 +43,19 @@ def test_pagerank_matches_sequential_reference(ray_session):
     assert got == want
 
 
-def test_pagerank_modes_equivalent(ray_session):
+def test_pagerank_modes_equivalent(ray_session, monkeypatch):
     """Broadcast-rank and join modes must be bit-identical (integer
     arithmetic is order-free; the modes differ only in data movement)."""
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import pagerank
 
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"),
              ("d", "e"), ("x", "a")]
     bc = {r["node"]: r["rank_micro"]
-          for r in pagerank(_edges_ds(edges), iters=4,
-                            mode="broadcast").take_all()}
+          for r in pagerank(_edges_ds(edges), iters=4).take_all()}
+    monkeypatch.setattr(graph, "PAGERANK_BROADCAST_MAX_NODES", 0)
     jn = {r["node"]: r["rank_micro"]
-          for r in pagerank(_edges_ds(edges), iters=4,
-                            mode="join").take_all()}
+          for r in pagerank(_edges_ds(edges), iters=4).take_all()}
     assert bc == jn == _seq_pagerank(edges, iters=4)
 
 
@@ -82,13 +82,14 @@ def test_pagerank_iteration_count_changes_result(ray_session):
     assert five == _seq_pagerank(edges, iters=5)
 
 
-def test_kcore_planted_and_distributed_parity(ray_session):
+def test_kcore_planted_and_distributed_parity(ray_session, monkeypatch):
     """2-core of triangle+tail = the triangle; 3-core of that graph is
     empty (engine yields 0 rows without error). The distributed peel
-    (small_graph_edges=0) must equal the single-task peel."""
+    (SMALL_GRAPH_EDGES = 0) must equal the single-task peel."""
     import pyarrow as pa
     import ray.data as rd
 
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import kcore_nodes
 
     # triangle a-b-c plus tail c-d-e, plus isolated pair f-g
@@ -100,8 +101,8 @@ def test_kcore_planted_and_distributed_parity(ray_session):
     got = sorted(kcore_nodes(ds, k=2).to_pandas()["node"])
     assert got == ["a", "b", "c"]
     assert len(kcore_nodes(ds, k=3).to_pandas()) == 0
-    dist = sorted(kcore_nodes(ds, k=2,
-                              small_graph_edges=0).to_pandas()["node"])
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    dist = sorted(kcore_nodes(ds, k=2).to_pandas()["node"])
     assert dist == got
 
 
@@ -138,20 +139,22 @@ def test_hits_matches_sequential_reference(ray_session):
     assert got == _seq_hits(edges, iters=5)
 
 
-def test_hits_distributed_path_parity(ray_session):
-    """The broadcast half-step path (small_graph_edges=0) must be
+def test_hits_distributed_path_parity(ray_session, monkeypatch):
+    """The broadcast half-step path (SMALL_GRAPH_EDGES = 0) must be
     bit-identical to the single-task short-circuit and the sequential
     reference, including endpoint-only nodes (pure hub x, pure sink e)."""
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import hits_scores
 
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
     rng = np.random.default_rng(7)
     es = [(f"n{int(a)}", f"n{int(b)}")
           for a, b in rng.integers(0, 40, size=(300, 2)) if a != b]
     es += [("x", "n0"), ("n1", "e")]
     want = _seq_hits(es, iters=4)
     got = {r["node"]: (r["hub_scaled"], r["auth_scaled"])
-           for r in hits_scores(_edges_ds(es).repartition(4), iters=4,
-                                small_graph_edges=0).take_all()}
+           for r in hits_scores(_edges_ds(es).repartition(4),
+                                iters=4).take_all()}
     assert got == want
 
 
@@ -206,9 +209,10 @@ def _seq_walks(edges, length=4):
     return rows
 
 
-def test_deterministic_walks_both_modes(ray_session):
+def test_deterministic_walks_both_modes(ray_session, monkeypatch):
     """Broadcast-CSR and co-partitioned modes both equal the sequential
     md5-next-hop reference, including early stops at sinks."""
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import deterministic_walks
 
     rng = np.random.default_rng(9)
@@ -216,8 +220,8 @@ def test_deterministic_walks_both_modes(ray_session):
           for a, b in rng.integers(0, 25, size=(60, 2)) if a != b]
     es += [("n0", "sink"), ("iso_src", "n1")]
     want = _seq_walks(es, length=4)
-    for kw in ({"broadcast_max_edges": 10_000},
-               {"broadcast_max_edges": 0, "n_parts": 3}):
+    for limit, kw in ((10_000, {}), (0, {"n_parts": 3})):
+        monkeypatch.setattr(graph, "WALKS_BROADCAST_MAX_EDGES", limit)
         got = {(r["start"], r["step"], r["node"])
                for r in deterministic_walks(_edges_ds(es).repartition(4),
                                             length=4, **kw).take_all()}

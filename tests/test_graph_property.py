@@ -17,8 +17,12 @@ from test_graph import _edges_ds, _seq_pagerank
     (2, 12, 40, 4, "join"),
     (3, 5, 5, 2, "join"),
 ])
-def test_pagerank_random_graphs(ray_session, seed, n_nodes, n_edges,
-                                iters, mode):
+def test_pagerank_random_graphs(ray_session, monkeypatch, seed, n_nodes,
+                                n_edges, iters, mode):
+    from fcrepo3_rdf_extractor_ray.stages import graph
+
+    if mode == "join":
+        monkeypatch.setattr(graph, "PAGERANK_BROADCAST_MAX_NODES", 0)
     rng = np.random.RandomState(seed)
     edges = [(f"n{rng.randint(n_nodes)}", f"n{rng.randint(n_nodes)}")
              for _ in range(n_edges)]
@@ -26,7 +30,7 @@ def test_pagerank_random_graphs(ray_session, seed, n_nodes, n_edges,
            for r in __import__(
                "fcrepo3_rdf_extractor_ray.stages.graph",
                fromlist=["pagerank"]).pagerank(
-                   _edges_ds(edges), iters=iters, mode=mode).take_all()}
+                   _edges_ds(edges), iters=iters).take_all()}
     assert got == _seq_pagerank(edges, iters=iters)
 
 
@@ -75,13 +79,14 @@ def test_rolling_matches_naive_window(ray_session, tmp_path, seed,
 
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [(1, 60, 40), (2, 200, 150),
                                                   (3, 80, 300)])
-def test_connected_components_random_vs_reference(ray_session, seed,
-                                                  n_nodes, n_edges):
+def test_connected_components_random_vs_reference(ray_session, monkeypatch,
+                                                  seed, n_nodes, n_edges):
     """Random graphs (sparse → many components, dense → one giant):
     distributed contraction union-find must match a driver-side
     union-find exactly, node for node."""
     import ray.data as rd
 
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import connected_components
 
     rng = np.random.RandomState(seed)
@@ -109,9 +114,9 @@ def test_connected_components_random_vs_reference(ray_session, seed,
     want = {x: find(x) for x in set(names_a) | set(names_b)}
 
     t = pa.table({"norm_a": pa.array(names_a), "norm_b": pa.array(names_b)})
-    # small_graph_edges=0 forces the full contraction pipeline — the
+    # SMALL_GRAPH_EDGES = 0 forces the full contraction pipeline — the
     # fast path is a trivial single-task UF and is covered elsewhere
-    got = (connected_components(rd.from_arrow(t).repartition(5), n_parts=7,
-                                small_graph_edges=0)
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    got = (connected_components(rd.from_arrow(t).repartition(5), n_parts=7)
            .to_pandas().set_index("node")["component"].to_dict())
     assert got == want

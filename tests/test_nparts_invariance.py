@@ -123,14 +123,16 @@ def test_derived_defaults_flagship_unchanged(fn_name, sf_dir, ray_session):
 
 def test_round4f_ops_nparts_invariant(ray_session):
     """The round-4f exchanges are partition-count independent: link
-    reciprocity, pred stats, modularity, and clustering coefficients
-    return identical rows at n_parts ∈ {3, 16, 64} on a random graph /
-    fact stream."""
+    reciprocity, pred stats, modularity, the five neighbour-pair
+    algorithms and the weighted / seeded rankers return identical rows
+    at n_parts ∈ {3, 16, 64} on a random graph / fact stream."""
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.pipelines.kg import pred_stats
     from fcrepo3_rdf_extractor_ray.stages.graph import (
-        clustering_coefficients, modularity_profile)
+        clustering_coefficients, modularity_profile, neighborhood_jaccard,
+        pagerank_weighted, resource_alloc_scores, triangle_count,
+        trust_rank, two_hop_scores)
     from fcrepo3_rdf_extractor_ray.stages.web import link_reciprocity
 
     rng = np.random.RandomState(7)
@@ -147,6 +149,9 @@ def test_round4f_ops_nparts_invariant(ray_session):
         "subj": [f"e{rng.randint(12)}" for _ in range(400)],
         "pred": [f"p{rng.randint(4)}" for _ in range(400)],
         "obj": [f"e{rng.randint(15)}" for _ in range(400)]})
+    weighted_t = edges_t.append_column(
+        "n_pages", pa.array([int(rng.randint(1, 5)) for _ in pairs]))
+    directed_t = edges_t.rename_columns(["subj", "obj"])
     labels_t = pa.table({"node": nodes,
                          "community": [f"c{i % 4}" for i in
                                        range(len(nodes))]})
@@ -166,6 +171,19 @@ def test_round4f_ops_nparts_invariant(ray_session):
             rd.from_arrow(labels_t), n_parts=np_),
         lambda np_: clustering_coefficients(
             rd.from_arrow(edges_t).repartition(5), n_parts=np_),
+        lambda np_: triangle_count(
+            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
+        lambda np_: neighborhood_jaccard(
+            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
+        lambda np_: two_hop_scores(
+            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
+        lambda np_: resource_alloc_scores(
+            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
+        lambda np_: pagerank_weighted(
+            rd.from_arrow(weighted_t).repartition(5), n_parts=np_),
+        lambda np_: trust_rank(
+            rd.from_arrow(directed_t).repartition(5), seeds=nodes[:3],
+            n_parts=np_),
     ):
         ref = frame(build(3))
         assert len(ref) > 0

@@ -229,7 +229,7 @@ def test_kg_components_oracle(sf_dir, duck):
     assert_frames_equivalent(got, expected)
 
 
-def test_connected_components_long_chain(ray_session):
+def test_connected_components_long_chain(ray_session, monkeypatch):
     """A 30-node path graph (diameter 29 — far past the old 16-round
     default) plus a disjoint triangle: min-label flooding must fully
     propagate, the two components must not merge, and node ids sharing
@@ -238,8 +238,10 @@ def test_connected_components_long_chain(ray_session):
     edge's rows across partitions)."""
     import ray.data as rd
 
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import connected_components
 
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
     chain = [(f"v{i:02d}", f"v{i+1:02d}") for i in range(29)]
     tri = [("z1", "z2"), ("z2", "z3"), ("z1", "z3")]
     edges = pa.table({
@@ -247,8 +249,7 @@ def test_connected_components_long_chain(ray_session):
         "norm_b": pa.array([b for _, b in chain + tri]),
     })
     out = to_pandas(connected_components(rd.from_arrow(edges)
-                                         .repartition(4),
-                                         small_graph_edges=0))
+                                         .repartition(4)))
     comp = out.set_index("node")["component"]
     assert (comp[[f"v{i:02d}" for i in range(30)]] == "v00").all()
     assert (comp[["z1", "z2", "z3"]] == "z1").all()

@@ -55,9 +55,11 @@ def _seq_kcore(edges, k, max_rounds=20):
     (0, 10, 18, 2), (1, 30, 50, 2), (2, 25, 90, 3),
     (3, 40, 60, 3), (4, 15, 15, 2),
 ])
-def test_kcore_random_graphs(ray_session, seed, n_nodes, n_edges, k):
+def test_kcore_random_graphs(ray_session, monkeypatch, seed, n_nodes,
+                            n_edges, k):
     """Both execution paths equal the sequential bounded peel, and
     every surviving node has degree >= k in the induced subgraph."""
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import kcore_nodes
 
     rng = np.random.RandomState(seed)
@@ -80,8 +82,8 @@ def test_kcore_random_graphs(ray_session, seed, n_nodes, n_edges, k):
     expected = _seq_kcore(edges, k)
     got_small = nodes_of(kcore_nodes(rd.from_arrow(t), k=k))
     assert got_small == expected
-    got_dist = nodes_of(kcore_nodes(rd.from_arrow(t), k=k,
-                                    small_graph_edges=0, n_parts=4))
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    got_dist = nodes_of(kcore_nodes(rd.from_arrow(t), k=k, n_parts=4))
     assert got_dist == expected
     # invariant: induced-subgraph degrees all >= k (when non-empty)
     keep = set(expected)

@@ -21,21 +21,23 @@ def _star_burst_facts(n: int = 2000):
     return pa.table({"subj": subj, "pred": pred, "obj": obj})
 
 
-def test_bfs_ds_equals_driver_wide_frontier(ray_session):
+def test_bfs_ds_equals_driver_wide_frontier(ray_session, monkeypatch):
     """Planted star-burst: the hop-1 frontier (2000 nodes) is far above
     the forced driver-comfort bound; the Dataset-native frontier path
     (auto-routed) labels exactly like the driver path."""
     import ray.data as rd
 
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import bfs_reachability
 
     facts = rd.from_arrow(_star_burst_facts()).repartition(4)
-    drv = (bfs_reachability(facts, max_hops=2, mode="driver")
+    monkeypatch.setattr(graph, "BFS_DRIVER_MAX_EDGES", 10**9)
+    drv = (bfs_reachability(facts, max_hops=2)
            .sort_values("node").reset_index(drop=True))
-    # auto mode with a tiny driver bound must take the ds path and
-    # return a Dataset, not pandas
-    got = bfs_reachability(facts, max_hops=2, mode="auto",
-                           max_driver_frontier=10)
+    # a tiny driver bound must take the ds path and return a Dataset,
+    # not pandas
+    monkeypatch.setattr(graph, "BFS_DRIVER_MAX_EDGES", 10)
+    got = bfs_reachability(facts, max_hops=2)
     assert not isinstance(got, pd.DataFrame)
     ds = got.to_pandas().sort_values("node").reset_index(drop=True)
     assert len(ds) == len(drv) == 4001
@@ -46,18 +48,20 @@ def test_bfs_ds_equals_driver_wide_frontier(ray_session):
         1, 2000, 2000]
 
 
-def test_bfs_ds_min_hop_on_shortcut(ray_session):
+def test_bfs_ds_min_hop_on_shortcut(ray_session, monkeypatch):
     """A node reachable at hops 1 and 2 gets the MINIMUM label on the
     ds path (the visited anti-join must not relabel)."""
     import ray.data as rd
 
+    from fcrepo3_rdf_extractor_ray.stages import graph
     from fcrepo3_rdf_extractor_ray.stages.graph import bfs_reachability
 
+    monkeypatch.setattr(graph, "BFS_DRIVER_MAX_EDGES", 0)
     facts = rd.from_arrow(pa.table({
         "subj": ["s", "s", "x", "s"],
         "pred": ["kg:acquired", "p", "p", "p"],
         "obj": ["x", "x", "y", "y"]}))
-    out = (bfs_reachability(facts, max_hops=3, mode="ds")
+    out = (bfs_reachability(facts, max_hops=3)
            .to_pandas().set_index("node")["hops"])
     assert out.to_dict() == {"s": 0, "x": 1, "y": 1}
 

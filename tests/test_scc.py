@@ -8,6 +8,7 @@ import pyarrow as pa
 import ray.data as rd
 import pytest
 
+from fcrepo3_rdf_extractor_ray.stages import graph
 from fcrepo3_rdf_extractor_ray.stages.graph import _tarjan_scc, scc_labels
 
 EDGES = [("a0", "a1"), ("a1", "a2"), ("a2", "a0"),   # 3-cycle
@@ -32,17 +33,18 @@ def test_scc_tarjan_short_circuit(ray_session):
     assert got == WANT
 
 
-def test_scc_distributed_fb_trim(ray_session):
+def test_scc_distributed_fb_trim(ray_session, monkeypatch):
     """Force the FB-Trim path (cutoff 0): trim peels the chain and the
     source, two FB rounds resolve the nested cycles."""
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
     got = {r["node"]: r["scc_id"]
            for r in scc_labels(rd.from_arrow(_edges_table(EDGES))
-                               .repartition(3), small_graph_edges=0,
+                               .repartition(3),
                                n_parts=4).take_all()}
     assert got == WANT
 
 
-def test_scc_random_graph_matches_tarjan(ray_session):
+def test_scc_random_graph_matches_tarjan(ray_session, monkeypatch):
     rng = np.random.RandomState(3)
     nodes = [f"n{i:02d}" for i in range(30)]
     es = sorted({(nodes[rng.randint(30)], nodes[rng.randint(30)])
@@ -51,9 +53,10 @@ def test_scc_random_graph_matches_tarjan(ray_session):
     truth = _tarjan_scc(pd.DataFrame({"a": [e[0] for e in es],
                                       "b": [e[1] for e in es]}))
     want = dict(zip(truth["node"], truth["scc_id"]))
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
     got = {r["node"]: r["scc_id"]
            for r in scc_labels(rd.from_arrow(_edges_table(es))
-                               .repartition(4), small_graph_edges=0,
+                               .repartition(4),
                                n_parts=4).take_all()}
     assert got == want
 
@@ -79,7 +82,7 @@ def test_bowtie_regions(ray_session):
                    "t0": "OTHER", "t1": "OTHER"}
 
 
-def test_bowtie_regions_distributed(ray_session):
+def test_bowtie_regions_distributed(ray_session, monkeypatch):
     """Force the composed distributed path (SCC FB-Trim + two
     reachability fixpoints) and require identical regions."""
     from fcrepo3_rdf_extractor_ray.stages.graph import bowtie_regions
@@ -90,10 +93,10 @@ def test_bowtie_regions_distributed(ray_session):
              ("x0", "x1"), ("x1", "x0")]
     t = pa.table({"subj": [e[0] for e in edges],
                   "obj": [e[1] for e in edges]})
+    monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
     got = {r["node"]: r["region"]
            for r in bowtie_regions(rd.from_arrow(t).repartition(3),
-                                   n_parts=4,
-                                   small_graph_edges=0).take_all()}
+                                   n_parts=4).take_all()}
     assert got == {"k0": "CORE", "k1": "CORE", "k2": "CORE",
                    "i0": "IN", "i1": "IN", "o0": "OUT", "o1": "OUT",
                    "x0": "OTHER", "x1": "OTHER"}

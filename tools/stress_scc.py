@@ -25,6 +25,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 import ray.data as rd
 
+from fcrepo3_rdf_extractor_ray.stages import graph
 from fcrepo3_rdf_extractor_ray.stages.graph import scc_labels
 
 # 4-cycles: src_i: s{i}_0 -> s{i}_1 -> s{i}_2 -> s{i}_3 -> s{i}_0
@@ -51,7 +52,8 @@ print(f"edges: {tbl.num_rows}", flush=True)
 
 ds = rd.from_arrow(tbl).repartition(32).materialize()
 t0 = time.time()
-out = scc_labels(ds, small_graph_edges=min(200_000, tbl.num_rows - 1))
+graph.SMALL_GRAPH_EDGES = min(200_000, tbl.num_rows - 1)
+out = scc_labels(ds)
 df = out.to_pandas()
 wall = time.time() - t0
 sizes = df.groupby("scc_id").size().value_counts().sort_index()
