@@ -33,7 +33,9 @@ def main(argv=None) -> int:
                     help="testdata dir whose documents table seeds the corpus")
     ap.add_argument("--output-dir", required=True)
     ap.add_argument("--graph-name", default=None,
-                    help="re-home all quads into this graph (F4 rewrite)")
+                    help="re-home all quads into this graph (F4 rewrite, "
+                         "applied after dedup: the input must hold one "
+                         "graph, as the pages source does)")
     ap.add_argument("--parallelism", type=int, default=None,
                     help="ray num_cpus (default: all cores)")
     ap.add_argument("--skip-empty-literals", action="store_true",

@@ -10,21 +10,25 @@ sorted materialization):
       → map_batches(extract_quads_batch)                # parse once/page
         (task form; the resumable run's waves run the same kernel as
         write tasks that checkpoint the quads and return lineage rows)
-      → [checkpoint boundary: raw quads]                # html long gone
-      → build_entity_map (combiner + sip64 distinct, alias link,
-        min-ID union-find: a driver dict up to the norm threshold, a
-        (norm, label) Dataset above it)
+      → [checkpoint boundary: raw quads, materialized]  # html long gone
+      → build_entity_map: per-block distinct norms folded on the
+        driver (no exchange) → alias link + min-ID union-find → a
+        driver dict; past the norm threshold the fold stops and a
+        sip64 exchange, actor-pool link and distributed union-find
+        build a (norm, label) Dataset instead
       → resolve_quads (broadcast the dict, or join the Dataset)
-      → dedup_quads: per-batch combiner → coalesce to a
-        cluster-sized block count → sort(subj,pred,obj), the one
-        exchange → per-block dedup finish in full sink order
+      → dedup_quads: per-batch combiner → coalesce to a range count
+        sized by CPUs and the raw quads' bytes → sort(subj,pred,obj),
+        the one exchange → per-block dedup finish in full sink order
       → materialize_sorted, one sink pass: per sorted block, a
         Parquet shard + a same-stem N-Quads shard
 
 ``run_kg`` keeps the raw quads in the object store between extraction
 and canonicalization (raw quads are a small fraction of the html-bearing
 input); ``run_kg_resumable`` writes them, and then the entity map, to
-atomic Parquet checkpoints with lineage manifests (state/lineage.py).
+atomic Parquet checkpoints with lineage manifests (state/lineage.py),
+and reads the raw checkpoint back into the object store once for the
+fold and the resolve.
 Each of its waves is one ``write_datasink`` pass of plain tasks
 (``WaveCheckpointSink``): no actor pool, and the per-block lineage rows
 travel back as the write tasks' return values.
@@ -80,10 +84,13 @@ def extract_raw_quads(pages_ds, batch_size: int = 4096,
 def canonical_quads(raw, driver_link_threshold: int | None = None):
     """Raw quads → entity map → resolved, deduplicated quads in sink
     order: the tail of ``run_kg`` (``run_kg_resumable`` runs the same
-    two steps and checkpoints the map between them)."""
+    two steps and checkpoints the map between them). ``raw`` is
+    materialized: the map and the resolve both read it, and its size
+    sets the dedup range count."""
     mapping = build_entity_map(raw, build_alias_table(),
                                driver_link_threshold)
-    return dedup_quads(resolve_quads(raw, mapping))
+    return dedup_quads(resolve_quads(raw, mapping),
+                       input_bytes=raw.size_bytes())
 
 
 def run_kg(sf_dir: str, repeat: int = 1, skip_empty_literals: bool = True,
@@ -151,8 +158,9 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
 
     from ..stages.extract import extract_quads_kernel
     from ..state.lineage import (WaveCheckpointSink, checkpoint_exists,
-                                 checkpoint_quads, committed_groups,
-                                 merge_lineage, read_all_groups)
+                                 checkpoint_quads, checkpoint_table,
+                                 committed_groups, merge_lineage,
+                                 read_all_groups)
     # imported per call, not bound at module import: a caller may
     # re-point the pages cache by patching sources.pages.synthesize_pages
     from ..sources.pages import synthesize_pages
@@ -194,23 +202,28 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                                extract, {"input_files": files}))
         done += 1
     merge_lineage(checkpoint_dir, stage="extract")
-    raw = read_all_groups(checkpoint_dir, "extract")
+    # read once: the entity-map fold and the resolve both consume it
+    raw = read_all_groups(checkpoint_dir, "extract").materialize()
     # mid-pipeline resume continues PAST extraction: the entity map (the
     # second expensive phase) is itself an atomic checkpoint of
     # (norm, label) rows, whichever form build_entity_map returned — a
     # crash between map-build and resolve re-reads it instead of
-    # re-linking.
+    # re-linking. A dict is written by the driver itself: no Ray write
+    # execution for a map that is already in hand.
     if not checkpoint_exists(checkpoint_dir, "entitymap"):
         mapping = build_entity_map(raw, build_alias_table())
         if isinstance(mapping, dict):
-            mapping = rd.from_arrow(pa.table(
+            checkpoint_table(pa.table(
                 {"norm": pa.array(list(mapping), pa.string()),
-                 "label": pa.array(list(mapping.values()), pa.string())}))
-        checkpoint_quads(mapping, checkpoint_dir, stage="entitymap")
+                 "label": pa.array(list(mapping.values()), pa.string())}),
+                checkpoint_dir, stage="entitymap")
+        else:
+            checkpoint_quads(mapping, checkpoint_dir, stage="entitymap")
         if crash_after_entitymap:
             return None  # simulated crash between map build and resolve
     mapping = _read_entity_map(checkpoint_dir)
-    return dedup_quads(resolve_quads(raw, mapping))
+    return dedup_quads(resolve_quads(raw, mapping),
+                       input_bytes=raw.size_bytes())
 
 
 def adjacency_table(quads_ds, n_parts: int | None = None):

@@ -149,7 +149,11 @@ def synthesize_pages(sf_dir: str, out_dir: str | None = None,
 
     shutil.rmtree(tmp_dir, ignore_errors=True)
     shutil.rmtree(out_dir, ignore_errors=True)
-    ds = ds.repartition(num_shards)
+    # shards carry no pandas schema metadata: pyarrow cannot hash a
+    # schema with metadata, and Ray Data logs "Failed to hash the schemas"
+    # whenever it unifies such schemas (every read of the pages)
+    ds = ds.repartition(num_shards).map_batches(
+        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow")
     ds.write_parquet(tmp_dir, row_group_size=8192)
     os.replace(tmp_dir, out_dir)
     with open(marker, "w") as f:

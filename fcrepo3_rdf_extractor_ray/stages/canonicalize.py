@@ -3,16 +3,20 @@
 One route (SURVEY.md §7.1 step 5), ``build_entity_map`` then
 ``resolve_quads``:
 
-1. per-batch combiner: unique normalized surfaces → (norm, sip64) —
-   bounds every shuffle key to ≤ #blocks rows before the exchange, so a
-   head entity needs no salt split;
-2. one exchange on the SipHash-64 key, per-partition Arrow distinct;
+1. per-block combiner: unique normalized surfaces (``norm``) of a quads
+   block — bounds every norm to ≤ #blocks rows before anything wide;
+2. the driver folds the combiner's output, block by block, into one
+   Arrow distinct array and stops as soon as it passes
+   ``DRIVER_LINK_THRESHOLD`` — no exchange while the map is small, and
+   never more than threshold + one block's norms on the driver. Past the
+   threshold the distinct runs as one exchange on a SipHash-64 key
+   (``unique_norms``, per-partition Arrow distinct);
 3. alias-dictionary + embedding linking (broadcast small side via
    ``ray.put`` once, read per actor in ``__init__`` — never re-shipped
    per batch);
 4. min-ID union-find cluster resolution across keys (two surfaces linked
    to one entity merge; cluster id = lexicographic min candidate IRI).
-   At or below ``DRIVER_LINK_THRESHOLD`` distinct norms, linking and
+   When the fold finished at or below the threshold, linking and
    union-find run on the driver and the map is a dict; above it they run
    distributed (actor-pool link, contraction union-find) and the map is
    a (norm, label) Dataset that never reaches the driver (SURVEY.md §7.4);
@@ -40,8 +44,8 @@ DRIVER_LINK_THRESHOLD = 100_000
 
 
 def _batch_unique_norms(t: pa.Table) -> pa.Table:
-    """Combiner: extract unresolved surfaces from a quads batch, unique
-    them within the batch, attach the SipHash-64 shuffle key."""
+    """Combiner: the distinct unresolved surfaces of a quads batch, as
+    bare norms (surface prefix stripped)."""
     chunks = []
     for col in ("subj", "obj"):
         c = t[col]
@@ -51,38 +55,54 @@ def _batch_unique_norms(t: pa.Table) -> pa.Table:
         chunks.extend(filtered.chunks)
     arr = pa.chunked_array(chunks or [pa.array([], pa.string())])
     uniq = pc.unique(arr)
-    norms = pc.utf8_slice_codeunits(uniq, len(SURF_PREFIX), 2**31 - 1)
-    h = siphash64_batch(norms.to_pylist())
     return pa.table({
-        "norm": norms,
-        "sip64": pa.array(h.astype(np.int64), pa.int64()),  # int64 for stable groupby
-    })
+        "norm": pc.utf8_slice_codeunits(uniq, len(SURF_PREFIX), 2**31 - 1)})
 
 
 def unique_norms(quads_ds):
     """Distinct (norm, sip64) via one partition-grouped distinct.
 
     Shuffle key = ``sip64 mod default_parts(0.5)`` (same key must
-    co-locate); the per-partition distinct is a vectorized Arrow
-    group_by — one Python call per partition, never per key. The
-    combiner in ``_batch_unique_norms`` already bounds a head norm's
-    duplicates to ≤ #blocks rows."""
+    co-locate), hashed after the combiner so only distinct-per-block
+    norms pay the Python SipHash; the per-partition distinct is a
+    vectorized Arrow group_by — one Python call per partition, never per
+    key. The combiner in ``_batch_unique_norms`` already bounds a head
+    norm's duplicates to ≤ #blocks rows."""
     from ..runtime import default_parts
     n_parts = default_parts(0.5)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["sip64"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
+    def add_key(t: pa.Table) -> pa.Table:
+        h = pa.array(siphash64_batch(t["norm"].to_pylist()).astype(np.int64),
+                     pa.int64())  # int64 for stable groupby
+        part = pc.cast(pc.bit_wise_and(h, n_parts - 1), pa.int32())
+        return t.append_column("sip64", h).append_column("part", part)
 
     def distinct(t: pa.Table) -> pa.Table:
         g = t.group_by(["part", "sip64", "norm"]).aggregate([])
         return g.rename_columns(["part", "sip64", "norm"])
 
     ds = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
-    ds = ds.map_batches(add_part, batch_format="pyarrow")
+    ds = ds.map_batches(add_key, batch_format="pyarrow")
     ds = ds.repartition(n_parts)
     ds = ds.groupby(["part"]).map_groups(distinct, batch_format="pyarrow")
     return ds.select_columns(["norm", "sip64"])
+
+
+def _fold_norms(quads_ds, threshold: int) -> pa.Array | None:
+    """The distinct norms of ``quads_ds`` folded on the driver, one
+    combined block at a time, or None once they pass ``threshold`` (the
+    fold stops there: the driver never holds more than threshold + one
+    block's distinct norms)."""
+    if threshold < 0:
+        return None  # even an empty fold would pass it
+    acc = pa.array([], pa.string())
+    blocks = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
+    for batch in blocks.iter_batches(batch_size=None, batch_format="pyarrow"):
+        acc = pc.unique(pa.chunked_array([acc, batch["norm"]],
+                                         pa.string()))
+        if len(acc) > threshold:
+            return None
+    return acc
 
 
 class AliasLinkStage:
@@ -259,30 +279,26 @@ def build_entity_map(quads_ds, alias_table: pa.Table,
                      driver_link_threshold: int | None = None):
     """norm → canonical IRI for every unresolved surface in ``quads_ds``.
 
-    Counts the distinct norms once (the ``minhash_clusters`` switch
-    pattern). At or below ``driver_link_threshold`` (default
+    The driver folds the per-block distinct norms (``_fold_norms``). If
+    the fold ends at or below ``driver_link_threshold`` (default
     ``DRIVER_LINK_THRESHOLD``) alias linking and union-find run on the
-    driver (no actor pool spin-up for a dictionary lookup) and the result
-    is a dict. Above it, linking runs as an
-    actor-pool stage and min-ID resolution as the contraction union-find
-    (``union_find_labels_ds``); the result is the lazy (norm, label)
-    Dataset, with no ``take_all`` anywhere. ``driver_link_threshold=0``
-    sends any non-empty map down the Dataset route. ``resolve_quads``
-    accepts either form."""
+    driver (no exchange, no actor pool spin-up for a dictionary lookup)
+    and the result is a dict. Once it passes the threshold the fold
+    stops; the distinct runs as an exchange (``unique_norms``), linking
+    as an actor-pool stage and min-ID resolution as the contraction
+    union-find (``union_find_labels_ds``); the result is the lazy
+    (norm, label) Dataset, with no ``take_all`` anywhere.
+    ``driver_link_threshold=0`` sends any non-empty map down the Dataset
+    route, ``-1`` every map. ``resolve_quads`` accepts either form."""
     if driver_link_threshold is None:
         driver_link_threshold = DRIVER_LINK_THRESHOLD
-    norms_ds = unique_norms(quads_ds).materialize()
     alias_ref = ray.put(alias_table)
-    if norms_ds.count() <= driver_link_threshold:
-        norm_rows = norms_ds.take_all()
-        stage = AliasLinkStage(alias_ref)
-        tbl = pa.table({"norm": pa.array([r["norm"] for r in norm_rows],
-                                         pa.string())})
-        linked_tbl = stage(tbl)
-        pairs = list(zip(linked_tbl["norm"].to_pylist(),
-                         linked_tbl["candidate_id"].to_pylist()))
-        return union_find_min_id(pairs)
-    linked = norms_ds.map_batches(
+    norms = _fold_norms(quads_ds, driver_link_threshold)
+    if norms is not None:
+        linked = AliasLinkStage(alias_ref)(pa.table({"norm": norms}))
+        return union_find_min_id(list(zip(
+            linked["norm"].to_pylist(), linked["candidate_id"].to_pylist())))
+    linked = unique_norms(quads_ds).materialize().map_batches(
         AliasLinkStage,
         fn_constructor_kwargs={"alias_ref": alias_ref},
         batch_format="pyarrow",

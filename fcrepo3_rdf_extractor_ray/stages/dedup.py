@@ -3,7 +3,8 @@
 - ``dedup_quads`` — exact quad dedup (set semantics; the reference's
   correctness is duplicate-insensitive, SidoraExamplesIT.java:105, so
   dedup is the explicit operator the north rule adds). Per-batch Arrow
-  ``Table.group_by`` combiner → cluster-sized coalesce → one range sort
+  ``Table.group_by`` combiner → coalesce to a range count sized by CPUs
+  and input bytes → one range sort
   on (subj, pred, obj) → per-block ``group_by`` finish (min / sum are
   associative, so partial/final is exact); the output is already in
   sink order.
@@ -61,33 +62,43 @@ def _rename(ds, mapping: dict[str, str]):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def dedup_quads(quads_ds, n_salts: int = 1):
+# Raw-quad bytes per dedup range (= sorted output shard) past which the
+# range count grows beyond one per CPU.
+DEDUP_RANGE_BYTES = 64 << 20
+
+
+def dedup_quads(quads_ds, n_salts: int = 1, input_bytes: int | None = None):
     """Exact dedup of a quads Dataset → one row per distinct quad with
     ``src_url`` = min source url and ``n_src`` = occurrence count, range
     partitioned and sorted by ``SINK_ORDER`` — what ``materialize_sorted``
     writes.
 
-    Shape: per-batch Arrow combiner → coalesce to ``default_parts(2.0)``
-    blocks → one ``sort(subj, pred, obj)`` → per sorted block, the same
+    Shape: per-batch Arrow combiner → coalesce to the range count →
+    one ``sort(subj, pred, obj)`` → per sorted block, the same
     ``group_by`` again plus a sort by the full key. Every duplicate of a
     quad shares (subj, pred, obj), and the range sort sends equal sort
     keys to the same output block, so the per-block finish is exact
     (Ray's own ``GroupedData.map_groups`` rests on the same guarantee).
     One sort exchange, and no hash key.
 
-    Ray's sort makes one range per input block and its cost grows with
-    blocks × ranges, so the coalesce fixes the range (and shard) count to
-    the cluster instead of the resolved block count: 256 resolved blocks
-    of 250 quads took 43–53 s uncoalesced and 5–8 s coalesced to 8 (2-CPU
-    Ray session on a 1-vCPU host), and a 2-block input still gets a
-    cluster-sized range count.
+    Range count = ``default_parts(1.0, input_bytes=input_bytes,
+    per_part_bytes=DEDUP_RANGE_BYTES, lo=1)``: one range per CPU, more
+    once ``input_bytes`` (the caller's size of the quads before
+    resolve, e.g. a materialized Dataset's ``size_bytes()``) exceeds
+    cpus × 64 MiB, so a range stays bounded as the corpus grows. Ray's
+    sort makes one range per input block and its cost grows with
+    blocks × ranges, so the coalesce also keeps the count off the
+    resolved block count: 256 resolved blocks of 250 quads took 43–53 s
+    uncoalesced and 5–8 s coalesced (2-CPU Ray session on a 1-vCPU host).
 
     ``n_salts`` is accepted and ignored: the combiner already bounds any
     head key to ≤ #blocks rows entering the sort."""
     from ..runtime import default_parts
 
+    n_ranges = default_parts(1.0, input_bytes=input_bytes,
+                             per_part_bytes=DEDUP_RANGE_BYTES, lo=1)
     return (quads_ds.map_batches(_combine_quads, batch_format="pyarrow")
-            .repartition(default_parts(2.0))
+            .repartition(n_ranges)
             .sort(SINK_ORDER[:3])
             .map_batches(_finish_quads, batch_format="pyarrow",
                          batch_size=None))

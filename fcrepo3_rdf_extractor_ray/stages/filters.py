@@ -34,6 +34,13 @@ def tag_graph_table(t: pa.Table, graph: str) -> pa.Table:
 
 
 def tag_graph(ds, graph: str):
+    """Re-home every quad of ``ds`` into ``graph``.
+
+    Input contract: ``ds`` holds quads of ONE source graph, as every
+    pages source here emits. The CLI applies this after ``dedup_quads``,
+    so quads that differed only in their graph would come out as
+    duplicate rows; a multi-graph input must be tagged before dedup
+    instead."""
     return ds.map_batches(
         lambda t: tag_graph_table(t, graph), batch_format="pyarrow"
     )

@@ -155,3 +155,108 @@ def test_dataset_entity_map_path_matches_driver_dict(sf_dir):
 
     key = lambda r: tuple(sorted(r.items()))
     assert sorted(map(key, got)) == sorted(map(key, want))
+
+
+def _norm_quads(seed: int, n_blocks: int, per_block: int,
+                vocab: list[str]) -> "pa.Table":
+    """Seeded raw quads whose subj/obj are surfaces drawn from ``vocab``
+    (alias hits, second aliases and misses), in ``n_blocks`` blocks."""
+    import random
+
+    rng = random.Random(seed)
+    n = n_blocks * per_block
+    subj = [f"surf:{rng.choice(vocab)}" for _ in range(n)]
+    obj = [f"surf:{rng.choice(vocab)}" if rng.random() < 0.7 else "lit"
+           for _ in range(n)]
+    return quads_table(["g"] * n, subj, ["kg:p"] * n, obj,
+                       [o == "lit" for o in obj], [""] * n,
+                       [f"u{i}" for i in range(n)])
+
+
+def _blocks(t, n_blocks):
+    import ray.data as rd
+
+    per = t.num_rows // n_blocks
+    return rd.from_arrow([t.slice(i * per, per) for i in range(n_blocks)])
+
+
+def test_fold_map_equals_dataset_route():
+    """The driver fold's dict and the exchange route's (norm, label)
+    Dataset agree entry for entry on a seeded multi-block input."""
+    vocab = ([f"entity{i}" for i in range(30)]
+             + [f"theentity{i}" for i in range(0, 30, 3)]
+             + [f"widget{i}" for i in range(25)])
+    ds = _blocks(_norm_quads(11, 12, 40, vocab), 12)
+    alias = build_alias_table()
+    got = build_entity_map(ds, alias)
+    assert isinstance(got, dict) and len(got) > 40
+    mapping_ds = build_entity_map(ds, alias, driver_link_threshold=0)
+    assert not isinstance(mapping_ds, dict)
+    want = {r["norm"]: r["label"] for r in mapping_ds.take_all()}
+    assert got == want
+
+
+def test_driver_route_never_calls_unique_norms(monkeypatch):
+    from fcrepo3_rdf_extractor_ray.stages import canonicalize
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the driver route must not run the exchange")
+
+    monkeypatch.setattr(canonicalize, "unique_norms", forbidden)
+    mapping = build_entity_map(_blocks(_raw_quads(), 3), build_alias_table())
+    assert mapping["theentity7"] == "ent:e7"
+
+
+def test_fold_exits_early_with_bounded_driver_rows(monkeypatch):
+    """More distinct norms than the threshold, spread over many blocks:
+    the fold stops once it passes the threshold, having pulled no more
+    than threshold + one block's distinct norms to the driver, and the
+    map takes the Dataset route."""
+    from ray.data import Dataset
+
+    from fcrepo3_rdf_extractor_ray.stages import canonicalize
+
+    n_blocks, per_block, threshold = 20, 10, 25
+    # block i holds norms n{i}_0 .. n{i}_9 only: 200 distinct in all
+    vocab = [f"n{i}_{j}" for i in range(n_blocks) for j in range(per_block)]
+    t = quads_table(["g"] * len(vocab), [f"surf:{v}" for v in vocab],
+                    ["kg:p"] * len(vocab), ["lit"] * len(vocab),
+                    [True] * len(vocab), [""] * len(vocab),
+                    ["u"] * len(vocab))
+    ds = _blocks(t, n_blocks)
+    pulled = []
+    iter_batches = Dataset.iter_batches
+
+    def counting(self, *args, **kwargs):
+        for b in iter_batches(self, *args, **kwargs):
+            pulled.append(b.num_rows)
+            yield b
+
+    monkeypatch.setattr(Dataset, "iter_batches", counting)
+    assert canonicalize._fold_norms(ds, threshold) is None
+    assert sum(pulled) <= threshold + max(pulled)
+    assert sum(pulled) < len(vocab)  # stopped early
+    monkeypatch.undo()
+    mapping = build_entity_map(ds, build_alias_table(),
+                               driver_link_threshold=threshold)
+    assert not isinstance(mapping, dict)
+    assert mapping.count() == len(vocab)
+
+
+def test_threshold_edge_cases_keep_routing():
+    """-1: Dataset route even on empty input; 0: Dataset route on any
+    non-empty input (an empty one gives an empty dict); exactly at the
+    threshold: dict; one below: Dataset."""
+    import ray.data as rd
+
+    alias = build_alias_table()
+    empty = rd.from_arrow(_raw_quads().slice(0, 0))
+    assert not isinstance(build_entity_map(empty, alias, -1), dict)
+    assert build_entity_map(empty, alias, 0) == {}
+    ds = _blocks(_raw_quads(), 3)
+    assert not isinstance(build_entity_map(ds, alias, 0), dict)
+    n = len(build_entity_map(ds, alias))
+    assert n == 3  # entity7, theentity7, widget3
+    at = build_entity_map(ds, alias, n)
+    assert isinstance(at, dict) and len(at) == n
+    assert not isinstance(build_entity_map(ds, alias, n - 1), dict)

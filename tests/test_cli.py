@@ -72,3 +72,31 @@ def test_cli_default_keeps_empty_literals(tmp_path):
     # empty-description quads (doc_id % 11 pages) survive → more than the
     # skip-filtered golden count
     assert payload["quads"] > 4083
+
+
+@pytest.mark.slow
+def test_cli_graph_name_rehomes_every_row(tmp_path, sf_dir):
+    """``--graph-name`` re-homes every quad of the single-graph pages
+    input: the same row count as the run without it, every row in the
+    named graph."""
+    import pyarrow.parquet as pq
+
+    from fcrepo3_rdf_extractor_ray.pipelines.kg import run_kg
+
+    out = str(tmp_path / "out")
+    env = {**os.environ, "PYTHONPATH": REPO}
+    r = subprocess.run(
+        [sys.executable, "-m", "fcrepo3_rdf_extractor_ray.cli",
+         "--sf-dir", sf_dir,
+         "--output-dir", out, "--no-nquads", "--skip-empty-literals",
+         "--graph-name", "urn:graph:test"],
+        capture_output=True, text=True, timeout=420, env=env, cwd=REPO,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    payload = json.loads([l for l in r.stdout.strip().splitlines()
+                          if l.startswith("{")][-1])
+    without = run_kg(sf_dir, skip_empty_literals=True).count()
+    assert payload["quads"] == without
+    graphs = pq.read_table(out, columns=["graph"])["graph"]
+    assert len(graphs) == without
+    assert set(graphs.to_pylist()) == {"urn:graph:test"}

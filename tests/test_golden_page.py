@@ -49,3 +49,22 @@ def test_single_page_golden_quads():
     assert got == EXPECTED
     assert all(r["graph"] == "kg:web" for r in out.to_pylist())
     assert all(r["src_url"] == "https://ex6.org/p/26" for r in out.to_pylist())
+
+
+def test_synthesized_pages_carry_no_pandas_metadata(sf_dir, tmp_path):
+    """Every pages shard is written without schema metadata: pyarrow
+    cannot hash a schema that carries it, and Ray Data then logs "Failed
+    to hash the schemas" on every read of the pages."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from fcrepo3_rdf_extractor_ray.sources.pages import synthesize_pages
+
+    d = synthesize_pages(sf_dir, out_dir=str(tmp_path / "pages"))
+    shards = [os.path.join(d, f) for f in os.listdir(d)
+              if f.endswith(".parquet")]
+    assert shards
+    for f in shards:
+        meta = pq.read_schema(f).metadata or {}
+        assert b"pandas" not in meta, f

@@ -99,6 +99,61 @@ def test_crash_between_entitymap_and_resolve(sf_dir, ckpt_dir):
             os.path.join(ex_root, g, "_MANIFEST.json")) == mt
 
 
+# the keys checkpoint_quads has always written for the entity map: a
+# checkpoint from an older run must keep resuming
+ENTITYMAP_MANIFEST_KEYS = {"stage", "group", "wall_ms", "rows", "shards"}
+
+
+def _check_entitymap_checkpoint(ckpt_dir):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d = os.path.join(ckpt_dir, "stage=entitymap")
+    man = json.load(open(os.path.join(d, "_MANIFEST.json")))
+    assert set(man) == ENTITYMAP_MANIFEST_KEYS
+    assert man["stage"] == "entitymap" and man["group"] is None
+    t = pq.read_table(d)
+    assert t.schema.names == ["norm", "label"]
+    assert t.schema.types == [pa.string(), pa.string()]
+    assert man["rows"] == t.num_rows > 0
+    assert sum(s["rows"] for s in man["shards"]) == t.num_rows
+
+
+def test_driver_written_entitymap_checkpoint_resumes(sf_dir, ckpt_dir,
+                                                     monkeypatch):
+    """On the driver-dict route the entity-map checkpoint is written by
+    the driver (no Ray write: ``checkpoint_quads`` made to raise), with
+    the (norm, label) schema and manifest keys of the Ray-written one; a
+    crash right after it resumes to run_kg's rows — and so does the same
+    map rewritten the old way, through a Ray write."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from fcrepo3_rdf_extractor_ray.state import lineage
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dict map needs no Ray write")
+
+    with monkeypatch.context() as m:
+        m.setattr(lineage, "checkpoint_quads", forbidden)
+        assert run_kg_resumable(sf_dir, ckpt_dir, wave_size=4,
+                                crash_after_entitymap=True) is None
+        _check_entitymap_checkpoint(ckpt_dir)
+        rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
+    want = run_kg(sf_dir).take_all()
+    key = lambda r: tuple(sorted(r.items()))
+    assert sorted(map(key, rows)) == sorted(map(key, want))
+
+    d = os.path.join(ckpt_dir, "stage=entitymap")
+    table = pq.read_table(d)
+    shutil.rmtree(d)
+    lineage.checkpoint_quads(rd.from_arrow(table), ckpt_dir,
+                             stage="entitymap")
+    _check_entitymap_checkpoint(ckpt_dir)
+    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
+    assert sorted(map(key, rows)) == sorted(map(key, want))
+
+
 def test_resume_above_threshold_matches_run_kg(sf_dir, ckpt_dir,
                                                monkeypatch):
     """With the norm threshold lowered to 0 the resumable run builds the
@@ -120,6 +175,7 @@ def test_resume_above_threshold_matches_run_kg(sf_dir, ckpt_dir,
                            crash_after_entitymap=True)
     assert out is None
     assert calls == [1]  # the distributed union-find built the map
+    _check_entitymap_checkpoint(ckpt_dir)
     assert not isinstance(kg._read_entity_map(ckpt_dir), dict)
     # the same checkpoint reads back as the driver dict at the default
     monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", default)

@@ -3,8 +3,9 @@ cluster-size-aware partitioning contract): deriving ``n_parts`` from the
 cluster MUST NOT change any result, so every hot exchange with an
 ``n_parts`` knob is asserted oracle-identical at n_parts ∈ {8, 64, 256}
 — below, at, and far above the sandbox CPU count — and ``dedup_quads``,
-whose range count is fixed by the cluster, at input block counts
-{2, 8, 64, 256}; plus unit properties of ``default_parts``."""
+whose range count is set by the cluster and the input bytes, at input
+block counts {2, 8, 64, 256} and at a byte size that forces more ranges;
+plus unit properties of ``default_parts``."""
 
 import numpy as np
 import pandas as pd
@@ -61,22 +62,48 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
             .reset_index(drop=True))
 
 
+def _dedup_ranges(input_bytes=None) -> int:
+    from fcrepo3_rdf_extractor_ray.stages.dedup import DEDUP_RANGE_BYTES
+
+    return runtime.default_parts(1.0, input_bytes=input_bytes,
+                                 per_part_bytes=DEDUP_RANGE_BYTES, lo=1)
+
+
 def test_dedup_quads_nparts_invariant(ray_session):
     """dedup_quads has no partition knob, so the input block count is the
     axis. Ray's sort makes one range per input block; dedup_quads
-    coalesces first, so every layout, 2 blocks to 256, comes out in
-    default_parts(2.0) sorted blocks (the shard count of
-    materialize_sorted)."""
+    coalesces first, so every layout, 2 blocks to 256, comes out in the
+    same number of sorted blocks (the shard count of materialize_sorted):
+    one per CPU while the input stays under cpus × DEDUP_RANGE_BYTES."""
     import ray.data as rd
 
     t = _random_quads(5, 400)
     outs = []
     for k in [2] + PARTS:
-        out = dedup_quads(rd.from_arrow(t).repartition(k)).materialize()
-        assert out.num_blocks() == runtime.default_parts(2.0), k
+        out = dedup_quads(rd.from_arrow(t).repartition(k),
+                          input_bytes=t.nbytes).materialize()
+        assert out.num_blocks() == _dedup_ranges(), k
         outs.append(_norm(out.to_pandas()))
     assert all(o.equals(outs[0]) for o in outs[1:])
     assert len(outs[0]) > 0
+
+
+def test_dedup_quads_ranges_grow_with_input_bytes(ray_session):
+    """Past cpus × DEDUP_RANGE_BYTES the range count follows the input
+    bytes the caller passes (ten ranges' worth → the next power of two),
+    and the rows stay the same."""
+    import ray.data as rd
+
+    from fcrepo3_rdf_extractor_ray.stages.dedup import DEDUP_RANGE_BYTES
+
+    t = _random_quads(5, 400)
+    big = 10 * DEDUP_RANGE_BYTES
+    assert _dedup_ranges(big) == 16 > _dedup_ranges()
+    want = _norm(dedup_quads(rd.from_arrow(t).repartition(8)).to_pandas())
+    out = dedup_quads(rd.from_arrow(t).repartition(8),
+                      input_bytes=big).materialize()
+    assert out.num_blocks() == 16
+    assert _norm(out.to_pandas()).equals(want)
 
 
 def test_cooccurrence_nparts_invariant(ray_session):
