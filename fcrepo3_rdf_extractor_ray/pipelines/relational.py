@@ -5,6 +5,17 @@ These demonstrate the engine's general data-processing surface
 hash join, sort+limit, tumbling-window aggregation, distinct). Money /
 value sums are emitted in integer cents/micro units so the DuckDB
 oracles compare exactly (no float-sum hash drift).
+
+Partitioning: every operator that needs all rows of a key in one task
+(per-user windows, per-key argmax/argmin, tag-union merges) goes through
+``stages.exchange.hash_exchange``, which owns the partition count, the
+routing hash and the shuffle backend; no operator here takes a
+partition-count option. Two kinds of exchange stay hand-written because
+they are not key-hash exchanges: range or bucket exchanges whose
+meaning depends on the count (``late_events``, ``global_rank_orders``,
+``ntile_orders``) and groupbys on a natural low-cardinality key
+(``source``, ``lang``, ``event_type``, ``o_orderstatus``, …). Tables are
+read without their pandas schema metadata (``_read``).
 """
 
 from __future__ import annotations
@@ -15,13 +26,23 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import ray
 import ray.data as rd
 
+from ..stages.exchange import exchange_parts, hash_exchange
+
 
 def _read(sf_dir: str, table: str, columns=None):
-    return rd.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
-                           columns=columns)
+    """Read one table, pruning columns at the read. The schema goes in
+    without the file's pandas metadata: pyarrow cannot hash a schema
+    that carries it, and Ray logs "Failed to hash the schemas" whenever
+    it unifies such schemas."""
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pads.dataset(path, format="parquet").schema.remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 def _rename(ds, mapping: dict[str, str]):
@@ -80,8 +101,6 @@ def top_customers(sf_dir: str, limit: int = 10):
     """Broadcast hash join (orders ⋈ customer) + groupby + sort + limit.
     The customer table is the small side: ``ray.put`` once, dict lookup
     inside map_batches — no shuffle join for a dimension table."""
-    from ray.data.aggregate import Sum
-
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
     cust_ref = ray.put(pa.table({
         "c_custkey": pa.array(cust["c_custkey"], pa.int64()),
@@ -105,35 +124,26 @@ def top_customers(sf_dir: str, limit: int = 10):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = orders.map_batches(join_name, batch_format="pyarrow")
 
-    # per-customer sum via per-batch combiner → custkey-hash partition →
+    # per-customer sum via per-batch combiner → custkey hash exchange →
     # one vectorized Arrow group_by per partition (Ray's builtin
     # aggregate pays ~µs of Python per group — too slow at 10k+ keys)
-    n_parts = 16
-
-    def combine(t: pa.Table) -> pa.Table:
+    def sums(t: pa.Table) -> pa.Table:
         g = t.group_by(["c_custkey", "c_name"]).aggregate(
             [("total_cents", "sum")])
-        g = g.rename_columns(["c_custkey", "c_name", "total_cents"])
-        part = pc.cast(pc.bit_wise_and(g["c_custkey"], n_parts - 1),
-                       pa.int32())
-        return g.append_column("part", part)
+        return g.rename_columns(["c_custkey", "c_name", "total_cents"])
 
-    def part_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["part", "c_custkey", "c_name"]).aggregate(
-            [("total_cents", "sum")])
-        g = g.rename_columns(["part", "c_custkey", "c_name", "total_cents"])
+    def part_top(t: pa.Table) -> pa.Table:
         # partial top-k: each partition holds every row of its customers
         # (sums are final here), so the global top-k is a subset of the
         # union of per-partition top-k — the final sort sees ≤
-        # n_parts × limit rows instead of the whole customer table
+        # partitions × limit rows instead of the whole customer table
+        g = sums(t)
         idx = pc.sort_indices(g, sort_keys=[("total_cents", "descending"),
                                             ("c_custkey", "ascending")])
         return g.take(idx[:limit])
 
-    g = (joined.map_batches(combine, batch_format="pyarrow")
-         .groupby("part").map_groups(part_sum, batch_format="pyarrow")
-         .map_batches(lambda t: t.drop_columns(["part"]),
-                      batch_format="pyarrow"))
+    g = hash_exchange(joined.map_batches(sums, batch_format="pyarrow"),
+                      "c_custkey", part_top, batch_format="pyarrow")
     return g.sort(["total_cents", "c_custkey"], descending=[True, False]).limit(limit)
 
 
@@ -221,15 +231,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30):
     pandas pass inside each partition: sort by (user, ts), flag gaps,
     cumulative-sum session ids, aggregate per session. The per-user
     ordering requirement only ever needs user-locality — one exchange."""
-    n_parts = 32
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
-
     gap = pd.Timedelta(minutes=gap_minutes)
 
     def sessions(df: pd.DataFrame) -> pd.DataFrame:
@@ -249,7 +251,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30):
         return g[["user_id", "session_id", "n_events", "start_ts", "end_ts",
                   "value_cents"]]
 
-    return ds.groupby("part").map_groups(sessions, batch_format="pandas")
+    return hash_exchange(ds, "user_id", sessions, batch_format="pandas")
 
 
 def semi_join_orders(sf_dir: str, min_acctbal: float = 5000.0):
@@ -303,11 +305,7 @@ def deterministic_sample(sf_dir: str, pct_bucket: int = 32):
     op). SQL mirror: substring(md5(text),1,2) comparison."""
     import hashlib
 
-    import ray.data as rd
-    import os
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def fil(t: pa.Table) -> pa.Table:
         keep = [hashlib.md5(s.encode("utf-8")).digest()[0] < pct_bucket
@@ -476,7 +474,7 @@ def distinct_users_by_type(sf_dir: str):
     return _rename(g, {"count()": "n_users"})
 
 
-def asof_last_purchase(sf_dir: str, n_parts: int | None = None):
+def asof_last_purchase(sf_dir: str):
     """AS-OF JOIN (time-series feature op): each event gains the
     timestamp of the SAME user's most recent strictly-earlier 'purchase'
     event and the gap in epoch-microseconds — the "time since last X"
@@ -487,15 +485,7 @@ def asof_last_purchase(sf_dir: str, n_parts: int | None = None):
     per partition — as-of needs only per-key time-locality, never a
     global sort. Gap is exact integer microseconds so the DuckDB ASOF
     JOIN oracle compares bit-for-bit."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
 
     def asof(df: pd.DataFrame) -> pd.DataFrame:
         left = df.sort_values("ts", kind="mergesort")
@@ -514,11 +504,10 @@ def asof_last_purchase(sf_dir: str, n_parts: int | None = None):
                                   -1).astype("int64")
         return out[["event_id", "user_id", "ts", "gap_us"]]
 
-    return ds.groupby("part").map_groups(asof, batch_format="pandas")
+    return hash_exchange(ds, "user_id", asof, batch_format="pandas")
 
 
-def range_join_attribution(sf_dir: str, window_minutes: int = 10,
-                           n_parts: int | None = None):
+def range_join_attribution(sf_dir: str, window_minutes: int = 10):
     """RANGE (interval) JOIN: for every 'purchase' event, count the same
     user's 'click' events in the half-open window (ts - w, ts) — the
     classic attribution join a feature pipeline runs at scale.
@@ -528,15 +517,7 @@ def range_join_attribution(sf_dir: str, window_minutes: int = 10,
     resolved by binary search (``np.searchsorted``), never an O(n²)
     nested loop. The partition key bounds group count, the per-user
     work is two sorted arrays."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
     w_us = np.int64(window_minutes * 60 * 1_000_000)
 
     def attribute(df: pd.DataFrame) -> pd.DataFrame:
@@ -559,10 +540,23 @@ def range_join_attribution(sf_dir: str, window_minutes: int = 10,
             "n_clicks": np.concatenate(out_n).astype("int64"),
         })
 
-    return ds.groupby("part").map_groups(attribute, batch_format="pandas")
+    return hash_exchange(ds, "user_id", attribute, batch_format="pandas")
 
 
-def rolling_user_spend(sf_dir: str, window: int = 4, n_parts: int | None = None):
+def _user_cents(sf_dir: str):
+    """Events as (event_id, ts, user_id, cents): the input of the
+    per-user window sums and maxima, values in exact integer cents."""
+    def cents(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_id": t["event_id"], "ts": t["ts"], "user_id": t["user_id"],
+            "cents": pc.cast(pc.round(pc.multiply(t["value"], 100)),
+                             pa.int64())})
+
+    return _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]
+                 ).map_batches(cents, batch_format="pyarrow")
+
+
+def rolling_user_spend(sf_dir: str, window: int = 4):
     """ROLLING-WINDOW aggregate (the per-example trailing feature):
     each event gains the sum of the same user's last ``window`` event
     values (current row included), ordered by (ts, event_id).
@@ -573,19 +567,7 @@ def rolling_user_spend(sf_dir: str, window: int = 4, n_parts: int | None = None)
     order-independent and the DuckDB window-function oracle compares
     bit-for-bit. Rolling windows only ever need per-key time-locality,
     never a global sort."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100)), pa.int64())
-        return pa.table({
-            "event_id": t["event_id"], "ts": t["ts"],
-            "user_id": t["user_id"], "cents": cents, "part": part,
-        })
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
+    ds = _user_cents(sf_dir)
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -594,10 +576,10 @@ def rolling_user_spend(sf_dir: str, window: int = 4, n_parts: int | None = None)
         df["roll_cents"] = (cum - lag).astype("int64")
         return df[["event_id", "user_id", "ts", "roll_cents"]]
 
-    return ds.groupby("part").map_groups(roll, batch_format="pandas")
+    return hash_exchange(ds, "user_id", roll, batch_format="pandas")
 
 
-def rolling_user_max(sf_dir: str, window: int = 4, n_parts: int | None = None):
+def rolling_user_max(sf_dir: str, window: int = 4):
     """Sliding-window MAX — the monotonic-deque primitive (running sums
     don't telescope for max, so this is a genuinely different kernel
     from ``rolling_user_spend``): each event gains the max of the same
@@ -606,19 +588,7 @@ def rolling_user_max(sf_dir: str, window: int = 4, n_parts: int | None = None):
     Same one-exchange shape; the per-partition pass is pandas'
     C-implemented ``groupby(...).rolling(window).max()`` over integer
     cents — exact, so the SQL window oracle compares bit-for-bit."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100)), pa.int64())
-        return pa.table({
-            "event_id": t["event_id"], "ts": t["ts"],
-            "user_id": t["user_id"], "cents": cents, "part": part,
-        })
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
+    ds = _user_cents(sf_dir)
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -628,11 +598,11 @@ def rolling_user_max(sf_dir: str, window: int = 4, n_parts: int | None = None):
         df["max_cents"] = mx.astype("int64")
         return df[["event_id", "user_id", "ts", "max_cents"]]
 
-    return ds.groupby("part").map_groups(roll, batch_format="pandas")
+    return hash_exchange(ds, "user_id", roll, batch_format="pandas")
 
 
 def conversion_lag(sf_dir: str, from_type: str = "view",
-                   to_type: str = "purchase", n_parts: int | None = None):
+                   to_type: str = "purchase"):
     """TIME-TO-CONVERSION (first-touch attribution): per user,
     microseconds between their FIRST ``from_type`` and FIRST
     ``to_type`` events; users lacking either leg, or whose first
@@ -641,8 +611,6 @@ def conversion_lag(sf_dir: str, from_type: str = "view",
     view", which would need the full event stream instead of two
     associative argmins). Per-batch combiner keeps ≤ 2 rows per user
     per block; ONE user-keyed exchange finishes."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     def legs(t: pa.Table) -> pa.Table:
@@ -654,10 +622,7 @@ def conversion_lag(sf_dir: str, from_type: str = "view",
                        "event_type": t["event_type"], "us": us})
              .group_by(["user_id", "event_type"])
              .aggregate([("us", "min")]))
-        g = g.rename_columns(["user_id", "event_type", "us"])
-        part = pc.cast(pc.bit_wise_and(g["user_id"], n_parts - 1),
-                       pa.int32())
-        return g.append_column("part", part)
+        return g.rename_columns(["user_id", "event_type", "us"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["user_id", "event_type"], as_index=False)["us"]
@@ -675,8 +640,8 @@ def conversion_lag(sf_dir: str, from_type: str = "view",
             "lag_us": (p[to_type] - p[from_type]).to_numpy()
             .astype("int64")})
 
-    return (ds.map_batches(legs, batch_format="pyarrow")
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return hash_exchange(ds.map_batches(legs, batch_format="pyarrow"),
+                         "user_id", finish, batch_format="pandas")
 
 
 def _range_window_sums(tsv: np.ndarray, gid: np.ndarray,
@@ -719,7 +684,7 @@ def _range_window_sums(tsv: np.ndarray, gid: np.ndarray,
     return s.astype(np.int64)
 
 
-def time_window_spend(sf_dir: str, minutes: int = 60, n_parts: int | None = None):
+def time_window_spend(sf_dir: str, minutes: int = 60):
     """TIME-RANGE windowed aggregate (RANGE frame, not row frame): each
     event gains the sum of the same user's event values inside the
     trailing ``minutes`` interval — SQL's ``RANGE BETWEEN INTERVAL ...
@@ -730,19 +695,7 @@ def time_window_spend(sf_dir: str, minutes: int = 60, n_parts: int | None = None
     on timestamps offset by a per-user stride (the stride exceeds any
     real time span, so range probes can never cross a user boundary).
     Exact integer cents; no per-user Python loop."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        cents = pc.cast(pc.round(pc.multiply(t["value"], 100)), pa.int64())
-        return pa.table({
-            "event_id": t["event_id"], "ts": t["ts"],
-            "user_id": t["user_id"], "cents": cents, "part": part,
-        })
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
+    ds = _user_cents(sf_dir)
     delta = np.int64(minutes) * 60 * 1_000_000  # µs
 
     def win(df: pd.DataFrame) -> pd.DataFrame:
@@ -754,7 +707,7 @@ def time_window_spend(sf_dir: str, minutes: int = 60, n_parts: int | None = None
         df["win_cents"] = s
         return df[["event_id", "user_id", "ts", "win_cents"]]
 
-    return ds.groupby("part").map_groups(win, batch_format="pandas")
+    return hash_exchange(ds, "user_id", win, batch_format="pandas")
 
 
 def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
@@ -842,7 +795,6 @@ def event_type_pivot(sf_dir: str):
     group_by per hash partition, not a per-group Python aggregate."""
     types = ("click", "error", "purchase", "signup", "view")
     val_cols = [f"n_{ty}" for ty in types] + ["value_cents"]
-    n_parts = 16
     ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
     def widen(t: pa.Table) -> pa.Table:
@@ -852,21 +804,15 @@ def event_type_pivot(sf_dir: str):
             cols[f"n_{ty}"] = ind
         cols["value_cents"] = pc.cast(
             pc.round(pc.multiply(t["value"], 100)), pa.int64())
-        w = pa.table(cols)
-        g = w.group_by(["user_id"]).aggregate(
-            [(c, "sum") for c in val_cols])
-        g = g.rename_columns(["user_id"] + val_cols)
-        part = pc.cast(pc.bit_wise_and(g["user_id"], n_parts - 1), pa.int32())
-        return g.append_column("part", part)
+        return sums(pa.table(cols))
 
-    def part_sum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["part", "user_id"]).aggregate(
+    def sums(t: pa.Table) -> pa.Table:
+        g = t.group_by(["user_id"]).aggregate(
             [(c, "sum") for c in val_cols])
-        g = g.rename_columns(["part", "user_id"] + val_cols)
-        return g.drop_columns(["part"])
+        return g.rename_columns(["user_id"] + val_cols)
 
-    return (ds.map_batches(widen, batch_format="pyarrow")
-            .groupby("part").map_groups(part_sum, batch_format="pyarrow"))
+    return hash_exchange(ds.map_batches(widen, batch_format="pyarrow"),
+                         "user_id", sums, batch_format="pyarrow")
 
 
 def group_concat_docs(sf_dir: str, k: int = 8):
@@ -894,8 +840,7 @@ def group_concat_docs(sf_dir: str, k: int = 8):
             .groupby("lang").map_groups(concat, batch_format="pandas"))
 
 
-def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0,
-                               num_partitions: int | None = None):
+def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0):
     """FULL OUTER join: per-customer order stats ⟗ the high-balance
     customer roster. Both null directions occur (orders whose customer
     is below the balance cutoff; rich customers with no orders) and are
@@ -903,18 +848,13 @@ def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0,
 
     Shape: TAG-UNION co-partitioned merge — each side contributes rows
     to one union stream (orders pre-combined per batch, so the exchange
-    moves aggregate-sized rows), the custkey-hash ``groupby(part)``
+    moves aggregate-sized rows), the custkey ``hash_exchange``
     colocates both sides in ONE exchange, and a vectorized pandas outer
     merge finishes per partition. No join-actor pools, no second
     aggregation exchange: the per-partition step both completes the
     order counts and performs the outer merge. (Ray's native ``join``
-    API is exercised by the kg_quads_join_resolve path.)"""
-    from ..runtime import cluster_cpus
-
-    if num_partitions is None:
-        num_partitions = max(8, cluster_cpus() // 2)
-    n_parts = num_partitions
-
+    API is exercised by ``revenue_by_nation`` and
+    ``customers_without_orders``.)"""
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
     def combine(t: pa.Table) -> pa.Table:
@@ -927,8 +867,6 @@ def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0,
             "custkey": g["custkey"],
             "n_orders": g["n_orders"],
             "acctbal_c": pa.nulls(g.num_rows, pa.int64()),
-            "part": pc.cast(pc.bit_wise_and(g["custkey"], n_parts - 1),
-                            pa.int32()),
         })
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
@@ -940,12 +878,7 @@ def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0,
             "n_orders": pa.nulls(t.num_rows, pa.int64()),
             "acctbal_c": pc.cast(pc.round(pc.multiply(t["c_acctbal"], 100)),
                                  pa.int64()),
-            "part": pc.cast(pc.bit_wise_and(t["c_custkey"], n_parts - 1),
-                            pa.int32()),
         })
-
-    both = (orders.map_batches(combine, batch_format="pyarrow")
-            .union(cust.map_batches(rich, batch_format="pyarrow")))
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         a = (df[df["acctbal_c"].isna()]
@@ -958,7 +891,9 @@ def full_outer_customer_orders(sf_dir: str, min_acctbal: float = 5000.0,
             "acctbal_c": m["acctbal_c"].fillna(-1).astype("int64"),
         })
 
-    return both.groupby("part").map_groups(merge, batch_format="pandas")
+    return hash_exchange([orders.map_batches(combine, batch_format="pyarrow"),
+                          cust.map_batches(rich, batch_format="pyarrow")],
+                         "custkey", merge, batch_format="pandas")
 
 
 def global_rank_orders(sf_dir: str, n_buckets: int | None = None):
@@ -1119,7 +1054,7 @@ def approx_distinct_users(sf_dir: str, p: int = 12):
         merge, batch_format="pandas")
 
 
-def funnel_steps(sf_dir: str, window_hours: int = 24, n_parts: int | None = None):
+def funnel_steps(sf_dir: str, window_hours: int = 24):
     """CONVERSION-FUNNEL sequential pattern: per user, first signup →
     first click within ``window_hours`` of it → first purchase within
     ``window_hours`` of that click. The classic ordered-sequence /
@@ -1130,18 +1065,14 @@ def funnel_steps(sf_dir: str, window_hours: int = 24, n_parts: int | None = None
     partition (ONE exchange), then a fully vectorized pandas pass per
     partition — three filtered groupby-mins stitched with merges. Scales
     with users/partition, never materializes on the driver."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(t["event_type"],
-                        value_set=pa.array(["signup", "click", "purchase"]))
-        t = t.filter(keep)
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
+        return t.filter(pc.is_in(
+            t["event_type"],
+            value_set=pa.array(["signup", "click", "purchase"])))
 
-    ds = ds.map_batches(prep, batch_format="pyarrow").repartition(n_parts)
+    ds = ds.map_batches(prep, batch_format="pyarrow")
     win = pd.Timedelta(hours=window_hours)
 
     def funnel(df: pd.DataFrame) -> pd.DataFrame:
@@ -1162,7 +1093,7 @@ def funnel_steps(sf_dir: str, window_hours: int = 24, n_parts: int | None = None
                        + out["t3"].notna().astype("int64"))
         return out[["user_id", "t1", "t2", "t3", "step"]]
 
-    g = ds.groupby("part").map_groups(funnel, batch_format="pandas")
+    g = hash_exchange(ds, "user_id", funnel, batch_format="pandas")
 
     # pandas widens timestamps to [ns]; re-assert [us] to match the oracle
     def fix_unit(t: pa.Table) -> pa.Table:
@@ -1258,7 +1189,7 @@ def except_custkeys(sf_dir: str, keep_priority: str = "1-URGENT",
     return g.map_batches(fil, batch_format="pyarrow")
 
 
-def user_gap_stats(sf_dir: str, n_parts: int | None = None):
+def user_gap_stats(sf_dir: str):
     """LAG-window analytics: per-user inter-event gap statistics
     (count / max / sum of the gap to the previous event, microseconds).
 
@@ -1267,17 +1198,14 @@ def user_gap_stats(sf_dir: str, n_parts: int | None = None):
     integer microseconds end-to-end (exact vs the SQL epoch_us oracle);
     users with a single event report NULL max/sum exactly like SQL
     aggregates over an empty window."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def prep(t: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
         return pa.table({"user_id": t["user_id"], "event_id": t["event_id"],
-                         "ts_us": us, "part": part})
+                         "ts_us": us})
 
-    ds = ds.map_batches(prep, batch_format="pyarrow").repartition(n_parts)
+    ds = ds.map_batches(prep, batch_format="pyarrow")
 
     def gaps(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts_us", "event_id"])
@@ -1294,7 +1222,7 @@ def user_gap_stats(sf_dir: str, n_parts: int | None = None):
         g["n_gaps"] = g["n_gaps"].astype("int64")
         return g
 
-    return ds.groupby("part").map_groups(gaps, batch_format="pandas")
+    return hash_exchange(ds, "user_id", gaps, batch_format="pandas")
 
 
 def corr_sufficient_stats(sf_dir: str):
@@ -1371,8 +1299,6 @@ def ntile_orders(sf_dir: str, k: int = 4, n_buckets: int | None = None):
     then a pure per-row formula from (rank, total): SQL ntile semantics
     — the first n % k tiles get one extra row. The total row count comes
     from Parquet metadata (no extra data pass)."""
-    import pyarrow.dataset as pads
-
     total = pads.dataset(
         os.path.join(sf_dir, "orders.parquet")).count_rows()
     ranked = global_rank_orders(sf_dir, n_buckets=n_buckets)
@@ -1398,8 +1324,7 @@ def ntile_orders(sf_dir: str, k: int = 4, n_buckets: int | None = None):
 
 
 def semi_join_orders_bloom(sf_dir: str, min_acctbal: float = 5000.0,
-                           m_bits: int = 1 << 20, n_hashes: int = 4,
-                           n_parts: int | None = None):
+                           m_bits: int = 1 << 20, n_hashes: int = 4):
     """Semi-join at the scale where the key set is too big to broadcast
     EXACTLY: a BLOOM-FILTER pre-filter plus a co-partitioned exact
     verify. Result is identical to ``semi_join_orders`` (same oracle).
@@ -1415,9 +1340,6 @@ def semi_join_orders_bloom(sf_dir: str, min_acctbal: float = 5000.0,
     (bloom has no false negatives), then the survivors — already a small
     fraction — co-partition with the true keys for the exact check that
     removes bloom's false positives."""
-
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     def _hash2(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = keys.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
         h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -1462,31 +1384,22 @@ def semi_join_orders_bloom(sf_dir: str, min_acctbal: float = 5000.0,
             hit &= (bits[(p // 8).astype(np.int64)]
                     >> (p % 8).astype(np.uint8)) & 1 == 1
         t = t.filter(pa.array(hit))
-        part = pc.cast(pc.bit_wise_and(t["o_custkey"], n_parts - 1),
-                       pa.int32())
         return pa.table({
             "o_orderkey": t["o_orderkey"],
             "o_custkey": t["o_custkey"],
             "total_cents": pc.cast(pc.round(pc.multiply(t["o_totalprice"],
                                                         100)), pa.int64()),
             "is_key": pa.nulls(t.num_rows, pa.bool_()),
-            "part": part,
         })
 
     def keyrows(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["c_acctbal"], min_acctbal))
-        part = pc.cast(pc.bit_wise_and(t["c_custkey"], n_parts - 1),
-                       pa.int32())
         return pa.table({
             "o_orderkey": pa.nulls(t.num_rows, pa.int64()),
             "o_custkey": t["c_custkey"],
             "total_cents": pa.nulls(t.num_rows, pa.int64()),
             "is_key": pa.array(np.ones(t.num_rows, dtype=bool)),
-            "part": part,
         })
-
-    both = (orders.map_batches(prefilter, batch_format="pyarrow")
-            .union(cust.map_batches(keyrows, batch_format="pyarrow")))
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         true_keys = df.loc[df["is_key"].notna(), "o_custkey"].unique()
@@ -1498,7 +1411,9 @@ def semi_join_orders_bloom(sf_dir: str, min_acctbal: float = 5000.0,
             "total_cents": o["total_cents"].astype("int64"),
         })
 
-    return both.groupby("part").map_groups(verify, batch_format="pandas")
+    return hash_exchange([orders.map_batches(prefilter, batch_format="pyarrow"),
+                          cust.map_batches(keyrows, batch_format="pyarrow")],
+                         "o_custkey", verify, batch_format="pandas")
 
 
 def heavy_hitters(sf_dir: str, key: str = "event_type", k: int = 5,
@@ -1584,24 +1499,14 @@ def latest_event_per_user(sf_dir: str):
             "value_cents": (g["value"] * 100).round().astype("int64"),
         })
 
-    # final pick mirrors first_order_per_customer: bounded hash partition
-    # + vectorized per-partition tail(1), not a per-key map_groups
-    n_parts = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1),
-                       pa.int32())
-        return t.append_column("part", part)
-
+    # final pick mirrors first_order_per_customer: hash exchange +
+    # vectorized per-partition tail(1), not a per-key map_groups
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["ts", "event_id"])
-        out = df.groupby("user_id", as_index=False, sort=False).tail(1)
-        return out.drop(columns=["part"])
+        return df.groupby("user_id", as_index=False, sort=False).tail(1)
 
-    combined = ds.map_batches(
-        lambda df: pick_latest(df), batch_format="pandas")
-    g = (combined.map_batches(tag, batch_format="pyarrow")
-         .groupby("part").map_groups(finish, batch_format="pandas"))
+    combined = ds.map_batches(pick_latest, batch_format="pandas")
+    g = hash_exchange(combined, "user_id", finish, batch_format="pandas")
 
     def fix_unit(t: pa.Table) -> pa.Table:
         i = t.schema.get_field_index("ts")
@@ -1715,14 +1620,7 @@ def interval_coverage(sf_dir: str, span_minutes: int = 5):
     (user, ts, end), running cummax of interval end, each row
     contributes max(0, end - max(start, prev_cummax)). Per-user ordering
     only needs user-locality, never a global sort."""
-    n_parts = 32
     ds = _read(sf_dir, "events", ["ts", "user_id"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1), pa.int32())
-        return t.append_column("part", part)
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow").repartition(n_parts)
     span = pd.Timedelta(minutes=span_minutes)
 
     def cover(df: pd.DataFrame) -> pd.DataFrame:
@@ -1739,7 +1637,7 @@ def interval_coverage(sf_dir: str, span_minutes: int = 5):
         return pd.DataFrame({"user_id": out.index.to_numpy(),
                              "covered_us": out.to_numpy()})
 
-    return ds.groupby("part").map_groups(cover, batch_format="pandas")
+    return hash_exchange(ds, "user_id", cover, batch_format="pandas")
 
 
 def cube_order_stats(sf_dir: str):
@@ -1827,7 +1725,7 @@ def mode_priority_by_status(sf_dir: str):
         argmax, batch_format="pandas")
 
 
-def cumulative_spend(sf_dir: str, n_parts: int | None = None):
+def cumulative_spend(sf_dir: str):
     """Per-customer RUNNING TOTAL (SUM ... ROWS UNBOUNDED PRECEDING):
     each order annotated with the customer's cumulative spend up to and
     including it, ordered by (o_orderdate, o_orderkey) — the classic
@@ -1836,15 +1734,8 @@ def cumulative_spend(sf_dir: str, n_parts: int | None = None):
     One customer-hash exchange; each partition sorts its customers'
     orders once and takes a vectorized grouped cumsum — no global sort,
     no per-row Python."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["o_custkey"], n_parts - 1),
-                       pa.int32())
-        return t.append_column("part", part)
 
     def cumsum(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
@@ -1855,12 +1746,10 @@ def cumulative_spend(sf_dir: str, n_parts: int | None = None):
             "o_custkey": df["o_custkey"].astype("int64").to_numpy(),
             "cum_cents": cum.astype("int64").to_numpy()})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("part").map_groups(cumsum, batch_format="pandas"))
+    return hash_exchange(ds, "o_custkey", cumsum, batch_format="pandas")
 
 
-def skew_join_events_nation(sf_dir: str, hot_k: int | None = None,
-                            n_parts: int | None = None):
+def skew_join_events_nation(sf_dir: str, hot_k: int | None = None):
     """SKEW-AWARE left enrichment join: every event annotated with its
     user's nation key (``user_id = c_custkey``; unmatched → -1).
 
@@ -1880,18 +1769,14 @@ def skew_join_events_nation(sf_dir: str, hot_k: int | None = None,
     Semantically identical to a plain left join (equivalence is the
     oracle); the routing only changes WHERE each row is resolved.
 
-    ``hot_k`` defaults to ``2 · n_parts``: a key is hot when its count
-    exceeds n/(2·n_parts) — half a partition's fair share — which is
-    exactly the point where one key starts dominating one shuffle
-    partition. On a uniform key distribution the hot set is (correctly)
-    empty and the whole stream takes the cold path; the hot passes are
-    then skipped entirely."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    import ray
-
+    ``hot_k`` defaults to twice the exchange's partition count
+    (``exchange_parts``): a key is hot when its count exceeds half a
+    partition's fair share, which is exactly the point where one key
+    starts dominating one shuffle partition. On a uniform key
+    distribution the hot set is (correctly) empty and the whole stream
+    takes the cold path; the hot passes are then skipped entirely."""
     if hot_k is None:
-        hot_k = 2 * n_parts
+        hot_k = 2 * exchange_parts()
     # the probe stream is consumed by the detection pass AND the routed
     # join — materialize once instead of re-reading the parquet 3-4x
     ev = _read(sf_dir, "events", ["event_id", "user_id"]).materialize()
@@ -1927,23 +1812,14 @@ def skew_join_events_nation(sf_dir: str, hot_k: int | None = None,
         mask = pc.invert(pc.is_in(t["user_id"],
                                   value_set=ray.get(hot_ref)))
         t = t.filter(mask)
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1),
-                       pa.int32())
         return pa.table({"key": pc.cast(t["user_id"], pa.int64()),
                          "event_id": pc.cast(t["event_id"], pa.int64()),
-                         "nk": pa.nulls(t.num_rows, pa.int64()),
-                         "part": part})
+                         "nk": pa.nulls(t.num_rows, pa.int64())})
 
     def tag_dim(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["c_custkey"], n_parts - 1),
-                       pa.int32())
         return pa.table({"key": pc.cast(t["c_custkey"], pa.int64()),
                          "event_id": pa.nulls(t.num_rows, pa.int64()),
-                         "nk": pc.cast(t["c_nationkey"], pa.int64()),
-                         "part": part})
-
-    tagged = (ev.map_batches(tag_probe, batch_format="pyarrow")
-              .union(cust.map_batches(tag_dim, batch_format="pyarrow")))
+                         "nk": pc.cast(t["c_nationkey"], pa.int64())})
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         dim = (df.loc[df["nk"].notna(), ["key", "nk"]]
@@ -1955,13 +1831,15 @@ def skew_join_events_nation(sf_dir: str, hot_k: int | None = None,
             "user_id": rows["key"].astype("int64").to_numpy(),
             "nationkey": got.astype("int64").to_numpy()})
 
-    cold = tagged.groupby("part").map_groups(merge, batch_format="pandas")
+    cold = hash_exchange([ev.map_batches(tag_probe, batch_format="pyarrow"),
+                          cust.map_batches(tag_dim, batch_format="pyarrow")],
+                         "key", merge, batch_format="pandas")
     if not hot_keys:  # nothing routed hot — skip the extra probe pass
         return cold
     return cold.union(ev.map_batches(resolve_hot, batch_format="pyarrow"))
 
 
-def cohort_retention(sf_dir: str, n_parts: int | None = None):
+def cohort_retention(sf_dir: str):
     """COHORT RETENTION matrix: users grouped by their first-seen day
     (the cohort); for each (cohort, day-offset) cell, how many of that
     cohort's users were active that many days later — the standard
@@ -1972,18 +1850,13 @@ def cohort_retention(sf_dir: str, n_parts: int | None = None):
     the same exchange, merged with the cohort map per partition (tag
     union, vectorized map); (3) one grid-sized groupby count — rows are
     already distinct per (user, day), so the count IS distinct users."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def combine(t: pa.Table) -> pa.Table:
         day = pc.floor_temporal(t["ts"], unit="day")
         g = (pa.table({"user_id": t["user_id"], "day": day})
              .group_by(["user_id", "day"]).aggregate([]))
-        g = g.rename_columns(["user_id", "day"])
-        part = pc.cast(pc.bit_wise_and(g["user_id"], n_parts - 1),
-                       pa.int32())
-        return g.append_column("part", part)
+        return g.rename_columns(["user_id", "day"])
 
     def per_user(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["user_id", "day"])
@@ -1992,8 +1865,8 @@ def cohort_retention(sf_dir: str, n_parts: int | None = None):
         out = pd.DataFrame({"cohort": cohort, "day_offset": off})
         return out
 
-    grid = (ds.map_batches(combine, batch_format="pyarrow")
-            .groupby("part").map_groups(per_user, batch_format="pandas"))
+    grid = hash_exchange(ds.map_batches(combine, batch_format="pyarrow"),
+                         "user_id", per_user, batch_format="pandas")
 
     from ray.data.aggregate import Count
 
@@ -2008,7 +1881,7 @@ def cohort_retention(sf_dir: str, n_parts: int | None = None):
     return g.map_batches(finish, batch_format="pyarrow")
 
 
-def event_type_history(sf_dir: str, n_parts: int | None = None):
+def event_type_history(sf_dir: str):
     """SCD-2 style HISTORY build (gaps-and-islands): per user, compact
     the event stream into maximal runs of the same event_type ordered by
     (ts, event_id) — each run becomes one row with its validity interval
@@ -2018,15 +1891,8 @@ def event_type_history(sf_dir: str, n_parts: int | None = None):
     One user-hash exchange; each partition sorts its users' events once
     and derives run boundaries with a vectorized shift-compare + cumsum
     — no per-row Python anywhere."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "events",
                ["event_id", "user_id", "event_type", "ts"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], n_parts - 1),
-                       pa.int32())
-        return t.append_column("part", part)
 
     def runs(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -2043,8 +1909,7 @@ def event_type_history(sf_dir: str, n_parts: int | None = None):
         })
         return out.reset_index(drop=True)
 
-    g = (ds.map_batches(tag, batch_format="pyarrow")
-         .groupby("part").map_groups(runs, batch_format="pandas"))
+    g = hash_exchange(ds, "user_id", runs, batch_format="pandas")
 
     def fix_units(t: pa.Table) -> pa.Table:
         for c in ("valid_from", "valid_to"):
@@ -2056,7 +1921,7 @@ def event_type_history(sf_dir: str, n_parts: int | None = None):
 
 
 def hopping_window_distinct_users(sf_dir: str, size_hours: int = 2,
-                                  stride_hours: int = 1, n_parts: int | None = None):
+                                  stride_hours: int = 1):
     """Hopping-window COUNT DISTINCT: unique active users per 2h window
     starting every 1h — the dedup-under-a-window variant of
     ``hopping_window_counts`` (a count is combiner-friendly; a distinct
@@ -2067,8 +1932,6 @@ def hopping_window_distinct_users(sf_dir: str, size_hours: int = 2,
     per-partition dedup + nunique. Partition width is bounded by
     users-per-window; salt the window key if a single window's user set
     outgrows a task."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     assert size_hours % stride_hours == 0
     fan = size_hours // stride_hours
     stride_us = stride_hours * 3_600_000_000
@@ -2085,11 +1948,7 @@ def hopping_window_distinct_users(sf_dir: str, size_hours: int = 2,
         g = (pa.table({"win_start_us": pa.array(starts.ravel()),
                        "user_id": pa.array(np.tile(uid, fan))})
              .group_by(["win_start_us", "user_id"]).aggregate([]))
-        g = g.rename_columns(["win_start_us", "user_id"])
-        slot = pc.divide(g["win_start_us"], stride_us)
-        part = pc.cast(pc.subtract(slot, pc.multiply(
-            pc.divide(slot, n_parts), n_parts)), pa.int32())
-        return g.append_column("part", part)
+        return g.rename_columns(["win_start_us", "user_id"])
 
     def count_distinct(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["win_start_us", "user_id"])
@@ -2097,8 +1956,8 @@ def hopping_window_distinct_users(sf_dir: str, size_hours: int = 2,
         return g.rename(columns={"user_id": "n_users"}).astype(
             {"n_users": "int64"})
 
-    g = (ds.map_batches(explode, batch_format="pyarrow")
-         .groupby("part").map_groups(count_distinct, batch_format="pandas"))
+    g = hash_exchange(ds.map_batches(explode, batch_format="pyarrow"),
+                      "win_start_us", count_distinct, batch_format="pandas")
 
     def finish(t: pa.Table) -> pa.Table:
         ts = pc.cast(t["win_start_us"], pa.timestamp("us"))
@@ -2108,22 +1967,15 @@ def hopping_window_distinct_users(sf_dir: str, size_hours: int = 2,
     return g.map_batches(finish, batch_format="pyarrow")
 
 
-def cume_dist_orders(sf_dir: str, n_parts: int | None = None):
+def cume_dist_orders(sf_dir: str):
     """Per-customer CUME_DIST (integer micro): each order's position in
     the customer's (o_orderdate, o_orderkey) sequence divided by the
     customer's order count — ``cd_micro = (1_000_000 · seq) // n``.
 
     One customer-hash exchange; per partition a vectorized sort +
     grouped cumcount/size — the same shape as ``cumulative_spend``."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["o_custkey"], n_parts - 1),
-                       pa.int32())
-        return t.append_column("part", part)
 
     def cd(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"])
@@ -2135,8 +1987,7 @@ def cume_dist_orders(sf_dir: str, n_parts: int | None = None):
             "o_custkey": df["o_custkey"].astype("int64").to_numpy(),
             "cd_micro": ((1_000_000 * seq) // n).astype("int64")})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("part").map_groups(cd, batch_format="pandas"))
+    return hash_exchange(ds, "o_custkey", cd, batch_format="pandas")
 
 
 def unpivot_lineitem_metrics(sf_dir: str):
@@ -2191,25 +2042,16 @@ def first_order_per_customer(sf_dir: str):
 
     combined = ds.map_batches(pick_first, batch_format="pandas")
 
-    # final pick: ONE exchange keyed on a bounded hash partition, then a
-    # vectorized sort + per-customer head(1) PER PARTITION — not per key
+    # final pick: ONE hash exchange, then a vectorized sort +
+    # per-customer head(1) PER PARTITION — not per key
     # (groupby(<raw key>).map_groups invokes the UDF once per key: ~15k
     # pandas calls at sf0.1, millions at scale; the event_type_history
-    # pattern does the same work in n_parts vectorized calls).
-    n_parts = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["o_custkey"], n_parts - 1),
-                       pa.int32())
-        return t.append_column("part", part)
-
+    # pattern does the same work in one vectorized call per partition).
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_orderdate", "o_orderkey"])
-        out = df.groupby("o_custkey", as_index=False, sort=False).head(1)
-        return out.drop(columns=["part"])
+        return df.groupby("o_custkey", as_index=False, sort=False).head(1)
 
-    g = (combined.map_batches(tag, batch_format="pyarrow")
-         .groupby("part").map_groups(finish, batch_format="pandas"))
+    g = hash_exchange(combined, "o_custkey", finish, batch_format="pandas")
 
     def fix_unit(t: pa.Table) -> pa.Table:
         i = t.schema.get_field_index("o_orderdate")
@@ -2475,8 +2317,7 @@ def late_events(ev_ds, late_hours: int = 1, n_parts: int | None = None):
 
 
 def merge_upsert(base_ds, updates_ds, key_col: str = "k",
-                 val_col: str = "cents", op_col: str = "op",
-                 n_parts: int | None = None):
+                 val_col: str = "cents", op_col: str = "op"):
     """CDC MERGE (the lakehouse ``MERGE INTO``): apply a key-unique,
     compacted change stream — ``U`` (update value), ``D`` (delete),
     ``I`` (insert new key) — to a base table in ONE key-hash tag-union
@@ -2495,18 +2336,13 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
     what a CDC reader emits per checkpoint) and its ops are U, D or I.
     Neither is checked per row here — compaction is the producer's
     invariant."""
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
     def tag_b(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "k": pa.array(keys),
             "v": pc.cast(t[val_col], pa.int64()),
             "op": pa.array(np.full(len(keys), "", object), pa.string()),
-            "is_base": pa.array(np.ones(len(keys), bool)),
-            "part": pa.array(fast_part_hash(keys, n_parts))})
+            "is_base": pa.array(np.ones(len(keys), bool))})
 
     def tag_u(t: pa.Table) -> pa.Table:
         keys = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2514,12 +2350,7 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
             "k": pa.array(keys),
             "v": pc.cast(t[val_col], pa.int64()),
             "op": pc.cast(t[op_col], pa.string()),
-            "is_base": pa.array(np.zeros(len(keys), bool)),
-            "part": pa.array(fast_part_hash(keys, n_parts))})
-
-    tagged = (base_ds.map_batches(tag_b, batch_format="pyarrow")
-              .union(updates_ds.map_batches(tag_u,
-                                            batch_format="pyarrow")))
+            "is_base": pa.array(np.zeros(len(keys), bool))})
 
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
         u = df[~df["is_base"]]
@@ -2541,5 +2372,6 @@ def merge_upsert(base_ds, updates_ds, key_col: str = "k",
             "action": pa.array(out["action"].to_numpy(dtype=object),
                                pa.string())})
 
-    return tagged.groupby("part").map_groups(resolve,
-                                             batch_format="pandas")
+    return hash_exchange([base_ds.map_batches(tag_b, batch_format="pyarrow"),
+                          updates_ds.map_batches(tag_u, batch_format="pyarrow")],
+                         "k", resolve, batch_format="pandas")

@@ -117,13 +117,24 @@ def _synthesize_batch(df: pd.DataFrame, repeat: int = 1) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
+def _carries_metadata(pages_dir: str) -> bool:
+    """Whether the first shard of a cached pages dir carries schema
+    metadata, i.e. was written by an older writer (see below)."""
+    import pyarrow.parquet as pq
+
+    shards = sorted(f for f in os.listdir(pages_dir) if f.endswith(".parquet"))
+    return bool(shards) and bool(
+        pq.read_schema(os.path.join(pages_dir, shards[0])).metadata)
+
+
 def synthesize_pages(sf_dir: str, out_dir: str | None = None,
                      num_shards: int = 8, repeat: int = 1) -> str:
     """Generate (or reuse a cached) pages parquet directory for ``sf_dir``.
 
     Runs as a Ray Data pipeline (read documents → map_batches → sharded
     parquet write); deterministic, so the /tmp cache is reusable across
-    processes. Returns the pages directory path.
+    processes. A cached dir whose shards carry schema metadata is
+    synthesized again. Returns the pages directory path.
     """
     import ray.data as rd
 
@@ -136,7 +147,7 @@ def synthesize_pages(sf_dir: str, out_dir: str | None = None,
         num_shards = 16
     out_dir = out_dir or f"/tmp/kg_pages/{tag}"
     marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
+    if os.path.exists(marker) and not _carries_metadata(out_dir):
         return out_dir
 
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),

@@ -9,8 +9,9 @@ One route (SURVEY.md §7.1 step 5), ``build_entity_map`` then
    Arrow distinct array and stops as soon as it passes
    ``DRIVER_LINK_THRESHOLD`` — no exchange while the map is small, and
    never more than threshold + one block's norms on the driver. Past the
-   threshold the distinct runs as one exchange on a SipHash-64 key
-   (``unique_norms``, per-partition Arrow distinct);
+   threshold (or at a threshold ≤ 0, which skips the fold) the distinct
+   runs as one ``hash_exchange`` on a SipHash-64 key (``unique_norms``,
+   per-partition Arrow distinct);
 3. alias-dictionary + embedding linking (broadcast small side via
    ``ray.put`` once, read per actor in ``__init__`` — never re-shipped
    per batch);
@@ -21,7 +22,8 @@ One route (SURVEY.md §7.1 step 5), ``build_entity_map`` then
    distributed (actor-pool link, contraction union-find) and the map is
    a (norm, label) Dataset that never reaches the driver (SURVEY.md §7.4);
 5. ``resolve_quads`` applies either form back to the quads: a dict as a
-   broadcast lookup, a Dataset as two co-partitioned tag-union merges.
+   broadcast lookup, a Dataset as two tag-union merges through
+   ``hash_exchange`` (on subj, then on obj).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import ray
 from ..runtime import pool as _pool
 from ..functions.hashing import siphash64_batch
 from ..functions.normalize import skolem_iri
+from .exchange import hash_exchange
 from .extract import SURF_PREFIX
 
 # Distinct-norm count at or below which build_entity_map links on the
@@ -60,32 +63,24 @@ def _batch_unique_norms(t: pa.Table) -> pa.Table:
 
 
 def unique_norms(quads_ds):
-    """Distinct (norm, sip64) via one partition-grouped distinct.
+    """Distinct (norm, sip64) via one hash exchange on ``sip64``.
 
-    Shuffle key = ``sip64 mod default_parts(0.5)`` (same key must
-    co-locate), hashed after the combiner so only distinct-per-block
+    The SipHash runs after the combiner, so only distinct-per-block
     norms pay the Python SipHash; the per-partition distinct is a
     vectorized Arrow group_by — one Python call per partition, never per
     key. The combiner in ``_batch_unique_norms`` already bounds a head
     norm's duplicates to ≤ #blocks rows."""
-    from ..runtime import default_parts
-    n_parts = default_parts(0.5)
-
     def add_key(t: pa.Table) -> pa.Table:
         h = pa.array(siphash64_batch(t["norm"].to_pylist()).astype(np.int64),
                      pa.int64())  # int64 for stable groupby
-        part = pc.cast(pc.bit_wise_and(h, n_parts - 1), pa.int32())
-        return t.append_column("sip64", h).append_column("part", part)
+        return t.append_column("sip64", h)
 
     def distinct(t: pa.Table) -> pa.Table:
-        g = t.group_by(["part", "sip64", "norm"]).aggregate([])
-        return g.rename_columns(["part", "sip64", "norm"])
+        return t.group_by(["norm", "sip64"]).aggregate([])
 
-    ds = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
-    ds = ds.map_batches(add_key, batch_format="pyarrow")
-    ds = ds.repartition(n_parts)
-    ds = ds.groupby(["part"]).map_groups(distinct, batch_format="pyarrow")
-    return ds.select_columns(["norm", "sip64"])
+    ds = (quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
+          .map_batches(add_key, batch_format="pyarrow"))
+    return hash_exchange(ds, "sip64", distinct, batch_format="pyarrow")
 
 
 def _fold_norms(quads_ds, threshold: int) -> pa.Array | None:
@@ -93,8 +88,6 @@ def _fold_norms(quads_ds, threshold: int) -> pa.Array | None:
     combined block at a time, or None once they pass ``threshold`` (the
     fold stops there: the driver never holds more than threshold + one
     block's distinct norms)."""
-    if threshold < 0:
-        return None  # even an empty fold would pass it
     acc = pa.array([], pa.string())
     blocks = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
     for batch in blocks.iter_batches(batch_size=None, batch_format="pyarrow"):
@@ -289,16 +282,22 @@ def build_entity_map(quads_ds, alias_table: pa.Table,
     union-find (``union_find_labels_ds``); the result is the lazy
     (norm, label) Dataset, with no ``take_all`` anywhere.
     ``driver_link_threshold=0`` sends any non-empty map down the Dataset
-    route, ``-1`` every map. ``resolve_quads`` accepts either form."""
+    route, ``-1`` every map; both skip the fold and start with the
+    exchange. ``resolve_quads`` accepts either form."""
     if driver_link_threshold is None:
         driver_link_threshold = DRIVER_LINK_THRESHOLD
     alias_ref = ray.put(alias_table)
-    norms = _fold_norms(quads_ds, driver_link_threshold)
-    if norms is not None:
-        linked = AliasLinkStage(alias_ref)(pa.table({"norm": norms}))
-        return union_find_min_id(list(zip(
-            linked["norm"].to_pylist(), linked["candidate_id"].to_pylist())))
-    linked = unique_norms(quads_ds).materialize().map_batches(
+    if driver_link_threshold > 0:
+        norms = _fold_norms(quads_ds, driver_link_threshold)
+        if norms is not None:
+            linked = AliasLinkStage(alias_ref)(pa.table({"norm": norms}))
+            return union_find_min_id(list(zip(
+                linked["norm"].to_pylist(),
+                linked["candidate_id"].to_pylist())))
+    distinct = unique_norms(quads_ds).materialize()
+    if driver_link_threshold == 0 and distinct.count() == 0:
+        return {}
+    linked = distinct.map_batches(
         AliasLinkStage,
         fn_constructor_kwargs={"alias_ref": alias_ref},
         batch_format="pyarrow",
@@ -355,18 +354,14 @@ def resolve_quads(quads_ds, mapping):
 
 
 def _resolve_join(quads_ds, mapping_ds):
-    """Resolve against the (norm, label) mapping DATASET: two
-    co-partitioned TAG-UNION merges (key = surf-prefixed subj, then
-    obj). Both sides hash-partition on the key and each partition
-    resolves with pure Arrow kernels (index_in + take + coalesce — the
-    quad stream never converts to pandas objects). Equal wall time to
-    Ray hash joins at sf0.1, without their sentinel-pad workaround for
-    the 2.49 empty-mapping-partition crash or their per-partition
-    aggregator actors; the quads stream moves twice either way."""
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import cluster_cpus
-
-    P = max(16, min(64, 2 * cluster_cpus()))
+    """Resolve against the (norm, label) mapping DATASET: two TAG-UNION
+    hash exchanges (key = surf-prefixed subj, then obj). Both sides meet
+    per partition, which resolves with pure Arrow kernels (index_in +
+    take + coalesce — the quad stream never converts to pandas
+    objects). Equal wall time to Ray hash joins at sf0.1, without their
+    sentinel-pad workaround for the 2.49 empty-mapping-partition crash
+    or their per-partition aggregator actors; the quads stream moves
+    twice either way."""
     mapping_ds = mapping_ds.select_columns(["norm", "label"]).materialize()
 
     quad_cols = ("graph", "subj", "pred", "obj", "obj_is_literal",
@@ -374,10 +369,7 @@ def _resolve_join(quads_ds, mapping_ds):
 
     def resolve_on(ds, key: str):
         def tag_q(t: pa.Table) -> pa.Table:
-            cols = {c: t[c] for c in t.schema.names}
-            cols["lab"] = pa.nulls(t.num_rows, pa.string())
-            cols["part"] = pa.array(fast_part_hash(t[key], P))
-            return pa.table(cols)
+            return t.append_column("lab", pa.nulls(t.num_rows, pa.string()))
 
         def tag_m(t: pa.Table) -> pa.Table:
             k = pc.binary_join_element_wise(
@@ -388,7 +380,6 @@ def _resolve_join(quads_ds, mapping_ds):
                     for c in quad_cols}
             cols[key] = k
             cols["lab"] = t["label"]
-            cols["part"] = pa.array(fast_part_hash(k, P))
             return pa.table(cols)
 
         def merge(t: pa.Table) -> pa.Table:
@@ -401,13 +392,12 @@ def _resolve_join(quads_ds, mapping_ds):
             got = pc.take(lut["lab"].combine_chunks(), idx)
             rows = rows.set_column(rows.schema.get_field_index(key), key,
                                    pc.coalesce(got, rows[key]))
-            return rows.drop_columns(["lab", "part"])
+            return rows.drop_columns(["lab"])
 
-        tagged = (ds.map_batches(tag_q, batch_format="pyarrow")
-                  .union(mapping_ds.map_batches(tag_m,
-                                                batch_format="pyarrow")))
-        return tagged.groupby("part").map_groups(merge,
-                                                 batch_format="pyarrow")
+        return hash_exchange(
+            [ds.map_batches(tag_q, batch_format="pyarrow"),
+             mapping_ds.map_batches(tag_m, batch_format="pyarrow")],
+            key, merge, batch_format="pyarrow")
 
     return resolve_on(resolve_on(quads_ds, "subj"), "obj")
 
