@@ -50,6 +50,7 @@ from ray.data.datasource import Datasink
 from ..sources.pages import build_alias_table, read_pages, synthesize_pages
 from ..stages.canonicalize import build_entity_map, resolve_quads
 from ..stages.dedup import dedup_quads
+from ..stages.exchange import exchange_parts, hash_exchange
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]  # `text` (golden) pruned
 
@@ -226,28 +227,12 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                        input_bytes=raw.size_bytes())
 
 
-def adjacency_table(quads_ds, n_parts: int | None = None):
+def adjacency_table(quads_ds):
     """Graph adjacency-list layout (north-star materialization): one row
     per subject with its (pred, obj) edges as a list sorted by
-    (pred, obj), plus edge count. Partition by subject hash → vectorized
-    per-partition assembly (same bounded-partition pattern as dedup)."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(2.0)
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import fast_part_hash
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pa.array(fast_part_hash(t["subj"], n_parts))
-        return t.select(["subj", "pred", "obj"]).append_column("part", part)
-
-    ds = quads_ds.map_batches(add_part, batch_format="pyarrow")
-    ds = ds.repartition(n_parts)
-
+    (pred, obj), plus edge count. A subject ``hash_exchange`` →
+    vectorized per-partition assembly."""
     def assemble(df):
-        import pandas as pd
-
         df = df.sort_values(["subj", "pred", "obj"])
         g = df.groupby("subj", as_index=False).agg(
             n_edges=("pred", "size"),
@@ -257,7 +242,9 @@ def adjacency_table(quads_ds, n_parts: int | None = None):
         g["edges"] = [list(zip(p, o)) for p, o in zip(g["preds"], g["objs"])]
         return g[["subj", "n_edges", "edges"]]
 
-    return ds.groupby("part").map_groups(assemble, batch_format="pandas")
+    spo = quads_ds.map_batches(lambda t: t.select(["subj", "pred", "obj"]),
+                               batch_format="pyarrow")
+    return hash_exchange(spo, "subj", assemble, batch_format="pandas")
 
 
 def _nquad_lines(t: pa.Table) -> pa.ChunkedArray:
@@ -393,7 +380,7 @@ def materialize_sorted(quads_ds, out_dir: str, write_nquads: bool = True,
     return out_dir
 
 
-def entity_profile(pages_ds, n_parts: int | None = None):
+def entity_profile(pages_ds):
     """Per-entity PROFILE — the composite consumers build dashboards
     from: for every mentioned entity, (a) how many pages mention it,
     (b) its co-occurrence degree (distinct neighbors), (c) its
@@ -401,16 +388,13 @@ def entity_profile(pages_ds, n_parts: int | None = None):
 
     Composes three derived datasets — distinct mention pairs, the
     co-occurrence edge list, and the contraction-union-find component
-    labels — and assembles them with ONE norm-keyed co-partitioned
-    tag-union merge (kinds 0/1/2), zero joins. Every exchanged table is
-    #entities-scale."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
+    labels — and assembles them with ONE norm ``hash_exchange`` of a
+    three-sided tag union (kinds 0/1/2), zero joins. Every exchanged
+    table is #entities-scale."""
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
     from ..stages.graph import connected_components
     from ..stages.ner import detect_mentions, mention_cooccurrence
 
@@ -419,16 +403,12 @@ def entity_profile(pages_ds, n_parts: int | None = None):
     # detect_mentions and the pages are parsed twice per run
     mentions = detect_mentions(pages_ds).materialize()
 
-    # distinct (url, norm) pairs are per-batch distinct only — the final
-    # per-norm page count dedupes ACROSS batches inside the merge via a
-    # (url, norm)-keyed exchange first
+    # distinct (url, norm) pairs are per-batch distinct only — a
+    # norm-keyed exchange dedupes them ACROSS batches before the count
     def pair_rows(t: pa.Table) -> pa.Table:
         g = (t.select(["src_url", "norm"])
              .group_by(["src_url", "norm"]).aggregate([]))
-        g = g.rename_columns(["src_url", "norm"])
-        key = pc.binary_join_element_wise(g["src_url"], g["norm"], "\x1f")
-        return g.append_column(
-            "part", pa.array(fast_part_hash(key, n_parts)))
+        return g.rename_columns(["src_url", "norm"])
 
     def pair_count(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["src_url", "norm"])
@@ -437,11 +417,11 @@ def entity_profile(pages_ds, n_parts: int | None = None):
         g["n_pages"] = g["n_pages"].astype("int64")
         return g
 
-    n_pages = (mentions.map_batches(pair_rows, batch_format="pyarrow")
-               .groupby("part").map_groups(pair_count,
-                                           batch_format="pandas"))
+    n_pages = hash_exchange(
+        mentions.map_batches(pair_rows, batch_format="pyarrow"), "norm",
+        pair_count, batch_format="pandas")
 
-    co = mention_cooccurrence(mentions, n_parts=n_parts).materialize()
+    co = mention_cooccurrence(mentions).materialize()
 
     def deg_rows(t: pa.Table) -> pa.Table:
         src = pa.concat_arrays([t["norm_a"].combine_chunks(),
@@ -452,7 +432,7 @@ def entity_profile(pages_ds, n_parts: int | None = None):
         return out.rename_columns(["norm", "degree"])
 
     degree = co.map_batches(deg_rows, batch_format="pyarrow")
-    comp = connected_components(co, n_parts=n_parts)
+    comp = connected_components(co)
 
     def tag(ds, kind, val_col, val_type=pa.int64()):
         def fn(t: pa.Table) -> pa.Table:
@@ -466,15 +446,7 @@ def entity_profile(pages_ds, n_parts: int | None = None):
                               else pa.nulls(t.num_rows, pa.string())),
             })
 
-        tagged = ds.map_batches(fn, batch_format="pyarrow")
-        return tagged.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(fast_part_hash(t["norm"], n_parts))),
-            batch_format="pyarrow")
-
-    union = (tag(n_pages, 0, "n_pages")
-             .union(tag(degree, 1, "degree"))
-             .union(tag(comp, 2, "component")))
+        return ds.map_batches(fn, batch_format="pyarrow")
 
     def assemble(df: pd.DataFrame) -> pd.DataFrame:
         np_ = df.dropna(subset=["n_pages"]).groupby("norm")["n_pages"].sum()
@@ -489,10 +461,13 @@ def entity_profile(pages_ds, n_parts: int | None = None):
             "component": cp.reindex(norms).fillna(
                 pd.Series(norms, index=norms)).to_numpy()})
 
-    return union.groupby("part").map_groups(assemble, batch_format="pandas")
+    return hash_exchange([tag(n_pages, 0, "n_pages"),
+                          tag(degree, 1, "degree"),
+                          tag(comp, 2, "component")],
+                         "norm", assemble, batch_format="pandas")
 
 
-def fact_support(facts_ds, n_parts: int | None = None):
+def fact_support(facts_ds):
     """KNOWLEDGE FUSION support aggregation: per distinct fact
     (subj, pred, obj), how strongly the corpus supports it — total
     assertions, distinct supporting pages, and the lexicographic
@@ -503,17 +478,13 @@ def fact_support(facts_ds, n_parts: int | None = None):
     ObjectProcessor.java:256-270) — fusing them is the step after.
 
     Shape: per-batch combiner collapses repeated (fact, src_url)
-    assertions before the wire → ONE fact-hash exchange → per-partition
-    vectorized groupby (hash partitioning colocates every assertion of
-    a fact, so counts/min/max are GLOBAL). Returns (subj, pred, obj,
-    n_assertions, n_pages, first_src, last_src).
+    assertions before the wire → ONE subject ``hash_exchange`` →
+    per-partition vectorized groupby (the exchange colocates every
+    assertion of a fact, so counts/min/max are GLOBAL). Returns (subj,
+    pred, obj, n_assertions, n_pages, first_src, last_src).
     """
     import numpy as np
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
 
     def combine(t: pa.Table) -> pa.Table:
         g = (pa.table({"subj": t["subj"], "pred": t["pred"],
@@ -521,13 +492,7 @@ def fact_support(facts_ds, n_parts: int | None = None):
                        "n": pa.array(np.ones(t.num_rows, dtype=np.int64))})
              .group_by(["subj", "pred", "obj", "src_url"])
              .aggregate([("n", "sum")]))
-        g = g.rename_columns(["subj", "pred", "obj", "src_url", "n"])
-        import pyarrow.compute as pc
-
-        key = pc.binary_join_element_wise(g["subj"], g["pred"], g["obj"],
-                                          "\x1f")
-        return g.append_column("part", pa.array(fast_part_hash(key,
-                                                               n_parts)))
+        return g.rename_columns(["subj", "pred", "obj", "src_url", "n"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         out = (df.groupby(["subj", "pred", "obj"], as_index=False)
@@ -539,31 +504,28 @@ def fact_support(facts_ds, n_parts: int | None = None):
             out[c] = out[c].astype("int64")
         return out
 
-    return (facts_ds.map_batches(combine, batch_format="pyarrow")
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return hash_exchange(facts_ds.map_batches(combine,
+                                              batch_format="pyarrow"),
+                         "subj", finish, batch_format="pandas")
 
 
-def _attach_page_ts(facts_ds, pages_ds, n_parts: int, post):
+def _attach_page_ts(facts_ds, pages_ds, post=lambda df: df):
     """Shared temporal-attach exchange for `current_facts` /
-    `fact_intervals`: ONE url-hash co-partition tag union joins each
-    page's max ``warc_ts`` onto its fact assertions (the page table
-    streams, never broadcast); facts whose src_url has no pages row
-    are DROPPED (pageless facts are unknowable-as-of, not infinitely
+    `fact_intervals`: ONE url ``hash_exchange`` of a two-sided tag union
+    joins each page's max ``warc_ts`` onto its fact assertions (the page
+    table streams, never broadcast); facts whose src_url has no pages
+    row are DROPPED (pageless facts are unknowable-as-of, not infinitely
     old — both consumers share this contract and the oracle's inner
-    join). ``post(df)`` runs inside the same map_groups on the
-    attached frame (subj, pred, obj, url, ts_us) — the hook where
-    each consumer fuses its per-partition combiner before its own
-    second exchange."""
+    join). ``post(df)`` runs inside the same finish on the attached
+    frame (subj, pred, obj, url, ts_us) — the hook where a consumer
+    fuses its per-partition combiner before its own second exchange."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from ..functions.hashing import fast_part_hash
 
     def tag_f(t: pa.Table) -> pa.Table:
         return pa.table({
             "url": t["src_url"], "subj": t["subj"], "pred": t["pred"],
-            "obj": t["obj"], "ts_us": pa.nulls(t.num_rows, pa.int64()),
-            "part": pa.array(fast_part_hash(t["src_url"], n_parts))})
+            "obj": t["obj"], "ts_us": pa.nulls(t.num_rows, pa.int64())})
 
     def tag_p(t: pa.Table) -> pa.Table:
         ts = pc.cast(pc.cast(t["warc_ts"], pa.timestamp("us")), pa.int64())
@@ -571,11 +533,7 @@ def _attach_page_ts(facts_ds, pages_ds, n_parts: int, post):
             "url": t["url"], "subj": pa.nulls(t.num_rows, pa.string()),
             "pred": pa.nulls(t.num_rows, pa.string()),
             "obj": pa.nulls(t.num_rows, pa.string()),
-            "ts_us": ts,
-            "part": pa.array(fast_part_hash(t["url"], n_parts))})
-
-    tagged = (facts_ds.map_batches(tag_f, batch_format="pyarrow")
-              .union(pages_ds.map_batches(tag_p, batch_format="pyarrow")))
+            "ts_us": ts})
 
     def attach(df: pd.DataFrame) -> pd.DataFrame:
         # max warc_ts per url (a url refetched in the same corpus
@@ -585,15 +543,19 @@ def _attach_page_ts(facts_ds, pages_ds, n_parts: int, post):
         rows = df[df["subj"].notna()].merge(
             ts, left_on="url", right_index=True, how="inner",
             suffixes=("", "_p"))
-        out = rows[["subj", "pred", "obj", "url"]].copy()
-        out["ts_us"] = rows["ts_us_p"].astype("int64")
+        # an empty merge names its index "url", which a later sort on
+        # the "url" column finds ambiguous
+        out = rows[["subj", "pred", "obj", "url"]].reset_index(drop=True)
+        out["ts_us"] = rows["ts_us_p"].astype("int64").to_numpy()
         return post(out)
 
-    return (tagged.repartition(n_parts)
-            .groupby("part").map_groups(attach, batch_format="pandas"))
+    return hash_exchange(
+        [facts_ds.map_batches(tag_f, batch_format="pyarrow"),
+         pages_ds.map_batches(tag_p, batch_format="pyarrow")],
+        "url", attach, batch_format="pandas")
 
 
-def current_facts(facts_ds, pages_ds, n_parts: int | None = None):
+def current_facts(facts_ds, pages_ds):
     """TEMPORAL KG SNAPSHOT: the CURRENT assertion per (subject,
     predicate) — for every functional-property slot, the fact from the
     most recently fetched page, with its fetch time and source. A KG
@@ -603,34 +565,23 @@ def current_facts(facts_ds, pages_ds, n_parts: int | None = None):
     temporal resolution (one triple per relation), so this is the
     as-of step a consumer runs after it.
 
-    Shape: the shared `_attach_page_ts` url-hash exchange (pageless
-    facts dropped there — the shared contract), with the per-partition
+    Shape: the shared `_attach_page_ts` url exchange (pageless facts
+    dropped there — the shared contract), with the per-partition
     combiner fused into it (keep the local max-(ts, src_url) row per
-    slot), then ONE (subj, pred)-hash exchange keeps the global max
-    via vectorized sort + drop_duplicates. Returns (subj, pred, obj,
-    last_ts, src_url); ``last_ts`` stays a microsecond timestamp
+    slot), then ONE subject ``hash_exchange`` keeps the global max with
+    the same vectorized sort + drop_duplicates. Returns (subj, pred,
+    obj, last_ts, src_url); ``last_ts`` stays a microsecond timestamp
     end-to-end."""
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
-    def slot_max(out: pd.DataFrame) -> pd.DataFrame:
-        out = out.sort_values(["subj", "pred", "ts_us", "url", "obj"],
-                              ascending=[True, True, False, False, False])
-        out = out.drop_duplicates(["subj", "pred"], keep="first")
-        out["p2"] = fast_part_hash(out["subj"], n_parts)
-        return out
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
+    def slot_max(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["subj", "pred", "ts_us", "url", "obj"],
                             ascending=[True, True, False, False, False])
         return df.drop_duplicates(["subj", "pred"], keep="first")
 
-    g = (_attach_page_ts(facts_ds, pages_ds, n_parts, post=slot_max)
-         .groupby("p2").map_groups(finish, batch_format="pandas"))
+    g = hash_exchange(_attach_page_ts(facts_ds, pages_ds, post=slot_max),
+                      "subj", slot_max, batch_format="pandas")
 
     def to_out(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -641,7 +592,7 @@ def current_facts(facts_ds, pages_ds, n_parts: int | None = None):
     return g.map_batches(to_out, batch_format="pyarrow")
 
 
-def fact_intervals(facts_ds, pages_ds, n_parts: int | None = None):
+def fact_intervals(facts_ds, pages_ds):
     """TEMPORAL VALIDITY EPISODES: for every (subject, predicate) slot,
     the maximal runs of consecutive equal object values in fetch-time
     order — the history `current_facts` truncates to its last row. A
@@ -653,24 +604,16 @@ def fact_intervals(facts_ds, pages_ds, n_parts: int | None = None):
     temporal axis at all — every assertion is eternal,
     ObjectProcessor.java:235-246).
 
-    Shape: the shared `_attach_page_ts` url-hash exchange (pageless
-    facts dropped there — the `current_facts` contract), then ONE
-    (subj, pred)-hash exchange where the run-collapse is pure
-    vectorized pandas (sort → shift → cumsum → groupby). Total order
-    inside a slot is (ts, src_url, obj), the same deterministic
-    tiebreak `current_facts` uses. Returns (subj, pred, obj, from_ts,
+    Shape: the shared `_attach_page_ts` url exchange (pageless facts
+    dropped there — the `current_facts` contract), then ONE subject
+    ``hash_exchange`` where the run-collapse is pure vectorized pandas
+    (sort → shift → cumsum → groupby). Total order inside a slot is
+    (ts, src_url, obj), the same deterministic tiebreak
+    `current_facts` uses. Returns (subj, pred, obj, from_ts,
     to_ts, n_assertions, episode_no) with episode_no 1-based per slot
     in time order."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
-    def to_p2(out: pd.DataFrame) -> pd.DataFrame:
-        out["p2"] = fast_part_hash(out["subj"], n_parts)
-        return out
 
     def collapse(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["subj", "pred", "ts_us", "url", "obj"],
@@ -690,8 +633,8 @@ def fact_intervals(facts_ds, pages_ds, n_parts: int | None = None):
                            .cumcount() + 1).astype("int64")
         return g
 
-    g = (_attach_page_ts(facts_ds, pages_ds, n_parts, post=to_p2)
-         .groupby("p2").map_groups(collapse, batch_format="pandas"))
+    g = hash_exchange(_attach_page_ts(facts_ds, pages_ds), "subj",
+                      collapse, batch_format="pandas")
 
     def to_out(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -704,7 +647,7 @@ def fact_intervals(facts_ds, pages_ds, n_parts: int | None = None):
     return g.map_batches(to_out, batch_format="pyarrow")
 
 
-def pred_stats(facts_ds, n_parts: int | None = None):
+def pred_stats(facts_ds):
     """ONTOLOGY PROFILE per predicate: assertion volume, distinct-triple
     count, subject/object cardinalities, and the max objects asserted
     per subject — the functional-property detector (max == 1) that
@@ -713,33 +656,25 @@ def pred_stats(facts_ds, n_parts: int | None = None):
     object, ObjectProcessor.java:256-270); at web scale the predicate
     inventory is DATA and must be profiled from the corpus.
 
-    Shape: two independent pair-keyed exchanges over per-batch distinct
-    combiners — hash(pred, subj) colocates every (subj → objs) slot, so
-    per-pred partials (assertion sums, distinct-subj counts, distinct
-    triples, max objects per subject) are exact and composable;
-    hash(pred, obj) does the same for distinct objects. Both emit
-    per-pred PARTIAL rows only (vocabulary-sized), unioned and folded
-    by a final tiny pred groupby. No full-table shuffle anywhere.
-    Returns (pred, n_assertions, n_triples, n_subj, n_obj,
-    max_obj_per_subj, is_functional).
+    Shape: two independent ``hash_exchange`` passes over per-batch
+    distinct combiners — the subject exchange colocates every
+    (subj → objs) slot, so per-pred partials (assertion sums,
+    distinct-subj counts, distinct triples, max objects per subject)
+    are exact and composable; the object exchange does the same for
+    distinct objects. Both emit per-pred PARTIAL rows only
+    (vocabulary-sized), folded by a final tiny pred exchange. No
+    full-table shuffle anywhere. Returns (pred, n_assertions,
+    n_triples, n_subj, n_obj, max_obj_per_subj, is_functional).
     """
     import numpy as np
     import pandas as pd
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
 
     def combine_ps(t: pa.Table) -> pa.Table:
         g = (pa.table({"pred": t["pred"], "subj": t["subj"],
                        "obj": t["obj"],
                        "n": pa.array(np.ones(t.num_rows, np.int64))})
              .group_by(["pred", "subj", "obj"]).aggregate([("n", "sum")]))
-        g = g.rename_columns(["pred", "subj", "obj", "n"])
-        key = pc.binary_join_element_wise(g["pred"], g["subj"], "\x1f")
-        return g.append_column("part", pa.array(fast_part_hash(key,
-                                                               n_parts)))
+        return g.rename_columns(["pred", "subj", "obj", "n"])
 
     def finish_ps(df: pd.DataFrame) -> pd.DataFrame:
         # every (pred, subj) slot is fully colocated here
@@ -763,11 +698,8 @@ def pred_stats(facts_ds, n_parts: int | None = None):
             "max_ops": agg["max_ops"].astype("int64")})
 
     def combine_po(t: pa.Table) -> pa.Table:
-        g = (pa.table({"pred": t["pred"], "obj": t["obj"]})
-             .group_by(["pred", "obj"]).aggregate([]))
-        key = pc.binary_join_element_wise(g["pred"], g["obj"], "\x1f")
-        return g.append_column("part", pa.array(fast_part_hash(key,
-                                                               n_parts)))
+        return (pa.table({"pred": t["pred"], "obj": t["obj"]})
+                .group_by(["pred", "obj"]).aggregate([]))
 
     def finish_po(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.drop_duplicates(["pred", "obj"])
@@ -778,10 +710,12 @@ def pred_stats(facts_ds, n_parts: int | None = None):
             "n_subj": z, "n_obj": g["n_obj"].astype("int64"),
             "max_ops": z})
 
-    ps = (facts_ds.map_batches(combine_ps, batch_format="pyarrow")
-          .groupby("part").map_groups(finish_ps, batch_format="pandas"))
-    po = (facts_ds.map_batches(combine_po, batch_format="pyarrow")
-          .groupby("part").map_groups(finish_po, batch_format="pandas"))
+    ps = hash_exchange(facts_ds.map_batches(combine_ps,
+                                            batch_format="pyarrow"),
+                       "subj", finish_ps, batch_format="pandas")
+    po = hash_exchange(facts_ds.map_batches(combine_po,
+                                            batch_format="pyarrow"),
+                       "obj", finish_po, batch_format="pandas")
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("pred", as_index=False).agg(
@@ -794,14 +728,10 @@ def pred_stats(facts_ds, n_parts: int | None = None):
         g["is_functional"] = g["max_obj_per_subj"] == 1
         return g
 
-    # per-pred partial rows are vocabulary-sized: coalesce the tagged
-    # union before the final exchange (the mix_report block-count fix)
-    return (ps.union(po).repartition(8)
-            .groupby("pred").map_groups(fold, batch_format="pandas"))
+    return hash_exchange([ps, po], "pred", fold, batch_format="pandas")
 
 
-def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
-                 n_parts: int | None = None):
+def entity_cards(facts_ds, mentions_ds, pages_ds, mapping):
     """KNOWLEDGE-PANEL MATERIALIZATION: one card per canonical entity —
     mention volume, distinct mentioning pages, first/last fetch time,
     fact in/out degree and the dominant outgoing predicate. This is
@@ -817,10 +747,11 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
     this stage broadcasts is driver-sized whatever route built it, so
     above the threshold it gives up the Dataset route's no-``take_all``
     bound (there is no join form of this stage yet). Page fetch
-    times attach via ONE url-hash tag-union exchange (the pages table STREAMS, never broadcast);
-    fact in/out degrees and per-predicate counts ride per-batch
-    combiners. Everything then meets in ONE entity-hash tag-union
-    exchange whose per-partition assemble is exact (colocation makes
+    times attach via ONE url ``hash_exchange`` of a tag union (the
+    pages table STREAMS, never broadcast); fact in/out degrees and
+    per-predicate counts ride per-batch combiners. Everything then
+    meets in ONE entity ``hash_exchange`` of a three-sided tag union
+    whose per-partition assemble is exact (colocation makes
     counts, distincts, min/max and the top-predicate pick global).
     Entities with no mentions carry zero time bounds; entities with no
     outgoing facts carry an empty ``top_pred``. Returns (entity,
@@ -832,10 +763,7 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
     import pyarrow.compute as pc
     import ray
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
     from ..stages.canonicalize import canonical_ids
-    n_parts = n_parts or default_parts(1.0)
     if not isinstance(mapping, dict):
         mapping = {r["norm"]: r["label"] for r in mapping.take_all()}
     map_ref = ray.put(mapping)
@@ -848,16 +776,14 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
         g = g.rename_columns(["url", "entity", "n"])
         return pa.table({
             "url": g["url"], "entity": g["entity"], "n": g["n"],
-            "ts_us": pa.nulls(g.num_rows, pa.int64()),
-            "part": pa.array(fast_part_hash(g["url"], n_parts))})
+            "ts_us": pa.nulls(g.num_rows, pa.int64())})
 
     def tag_p(t: pa.Table) -> pa.Table:
         ts = pc.cast(pc.cast(t["warc_ts"], pa.timestamp("us")), pa.int64())
         return pa.table({
             "url": t["url"],
             "entity": pa.nulls(t.num_rows, pa.string()),
-            "n": pa.nulls(t.num_rows, pa.int64()), "ts_us": ts,
-            "part": pa.array(fast_part_hash(t["url"], n_parts))})
+            "n": pa.nulls(t.num_rows, pa.int64()), "ts_us": ts})
 
     def attach(df: pd.DataFrame) -> pd.DataFrame:
         ts = (df[df["entity"].isna()]
@@ -871,12 +797,10 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
             "pred": np.full(len(m), "", object),
             "n": m["n"].astype("int64"), "ts_us": m["ts_us"]})
 
-    mention_part = (mentions_ds.map_batches(tag_m, batch_format="pyarrow")
-                    .union(pages_ds.map_batches(tag_p,
-                                                batch_format="pyarrow"))
-                    .repartition(n_parts)
-                    .groupby("part").map_groups(attach,
-                                                batch_format="pandas"))
+    mention_part = hash_exchange(
+        [mentions_ds.map_batches(tag_m, batch_format="pyarrow"),
+         pages_ds.map_batches(tag_p, batch_format="pyarrow")],
+        "url", attach, batch_format="pandas")
 
     def facts_out(t: pa.Table) -> pa.Table:
         g = (pa.table({"entity": t["subj"], "pred": t["pred"],
@@ -901,19 +825,6 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
             "pred": pa.array(np.full(g.num_rows, "", object), pa.string()),
             "n": g["n"],
             "ts_us": pa.array(np.zeros(g.num_rows, np.int64))})
-
-    def part_col(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["entity"], n_parts)))
-
-    tagged = (mention_part.map_batches(part_col, batch_format="pyarrow")
-              .union(facts_ds.map_batches(facts_out,
-                                          batch_format="pyarrow")
-                     .map_batches(part_col, batch_format="pyarrow"))
-              .union(facts_ds.map_batches(facts_in,
-                                          batch_format="pyarrow")
-                     .map_batches(part_col, batch_format="pyarrow"))
-              .repartition(n_parts))
 
     def assemble(df: pd.DataFrame) -> pd.DataFrame:
         men = df[df["kind"] == 0]
@@ -947,12 +858,14 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping,
             "top_pred_n": top["n"].reindex(ents).fillna(0)
                 .astype("int64").to_numpy()})
 
-    return tagged.groupby("part").map_groups(assemble,
-                                             batch_format="pandas")
+    return hash_exchange(
+        [mention_part,
+         facts_ds.map_batches(facts_out, batch_format="pyarrow"),
+         facts_ds.map_batches(facts_in, batch_format="pyarrow")],
+        "entity", assemble, batch_format="pandas")
 
 
-def functional_violations(facts_ds, preds: list[str],
-                          n_parts: int | None = None):
+def functional_violations(facts_ds, preds: list[str]):
     """KG SCHEMA QA: for predicates DECLARED functional (one object per
     subject — the `pred_stats` detector or an ontology supplies the
     list), every violating (subject, predicate) slot with its distinct
@@ -962,27 +875,20 @@ def functional_violations(facts_ds, preds: list[str],
     '|'-joined so the row is deterministic and SQL-replayable.
 
     Shape: stateless predicate filter → per-batch distinct combiner →
-    ONE (pred, subj)-hash exchange (a slot's objects fully colocate) →
+    ONE subject ``hash_exchange`` (a slot's objects fully colocate) →
     vectorized per-partition groupby keeping only n_obj ≥ 2 slots.
     Returns (subj, pred, n_obj, objs).
     """
-    import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     pred_set = pa.array(sorted(preds), pa.string())
 
     def combine(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["pred"], value_set=pred_set))
-        g = (pa.table({"subj": t["subj"], "pred": t["pred"],
-                       "obj": t["obj"]})
-             .group_by(["subj", "pred", "obj"]).aggregate([]))
-        key = pc.binary_join_element_wise(g["pred"], g["subj"], "\x1f")
-        return g.append_column(
-            "part", pa.array(fast_part_hash(key, n_parts)))
+        return (pa.table({"subj": t["subj"], "pred": t["pred"],
+                          "obj": t["obj"]})
+                .group_by(["subj", "pred", "obj"]).aggregate([]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         d = (df.drop_duplicates(["subj", "pred", "obj"])
@@ -997,12 +903,12 @@ def functional_violations(facts_ds, preds: list[str],
         g["n_obj"] = g["n_obj"].astype("int64")
         return g[["subj", "pred", "n_obj", "objs"]]
 
-    return (facts_ds.map_batches(combine, batch_format="pyarrow")
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return hash_exchange(facts_ds.map_batches(combine,
+                                              batch_format="pyarrow"),
+                         "subj", finish, batch_format="pandas")
 
 
-def rdfs_type_closure(facts_ds, n_classes: int = 7,
-                      n_parts: int | None = None):
+def rdfs_type_closure(facts_ds, n_classes: int = 7):
     """RDFS entailment materialization: every entity's full type set
     under a subclass hierarchy — the forward-chaining step a triple
     store runs at load time (rdfs9: ``(x type C), (C subClassOf D) ->
@@ -1017,17 +923,10 @@ def rdfs_type_closure(facts_ds, n_classes: int = 7,
     canonicalization; the corpus-sized side streams).
 
     Shape: per-batch DISTINCT entity combiner over subj ∪ obj → one
-    entity-hash exchange for global distinct → stateless ancestor
+    entity ``hash_exchange`` for global distinct → stateless ancestor
     explode (closure captured; ≤ log2(n_classes)+1 types per entity).
     Output: ``(subj, type)``, distinct by construction."""
-    import re
-
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
 
     # reflexive-transitive ancestor closure of the class tree (tiny)
     anc: dict[int, list[int]] = {}
@@ -1045,11 +944,7 @@ def rdfs_type_closure(facts_ds, n_classes: int = 7,
 
         nodes = pa.chunked_array([t["subj"], t["obj"]])
         m = pc.match_substring_regex(nodes, ent_re)
-        ents = pc.unique(nodes.filter(m))
-        return pa.table({
-            "e": ents,
-            "part": pa.array(fast_part_hash(ents, n_parts)),
-        })
+        return pa.table({"e": pc.unique(nodes.filter(m))})
 
     def explode_types(df: pd.DataFrame) -> pd.DataFrame:
         ents = df["e"].drop_duplicates()
@@ -1062,9 +957,9 @@ def rdfs_type_closure(facts_ds, n_classes: int = 7,
             "type": "cls:c" + out["a"].astype("int64").astype(str),
         })
 
-    return (facts_ds.map_batches(distinct_entities, batch_format="pyarrow")
-            .groupby("part").map_groups(explode_types,
-                                        batch_format="pandas"))
+    return hash_exchange(facts_ds.map_batches(distinct_entities,
+                                              batch_format="pyarrow"),
+                         "e", explode_types, batch_format="pandas")
 
 
 def term_dictionary(quads_ds, n_buckets: int | None = None):
@@ -1076,7 +971,7 @@ def term_dictionary(quads_ds, n_buckets: int | None = None):
 
     Shape (the TeraSort/global-rank range-partition pattern of
     ``relational.global_rank_orders``): per-batch DISTINCT-term
-    combiner → one term-hash exchange for global distinct → order-
+    combiner → one term ``hash_exchange`` for global distinct → order-
     preserving 8-byte integer key (UTF-8 byte order == codepoint order,
     and suffix-\\x00 padding preserves prefix order) → key-range
     bucketing from one min/max pass → per-bucket counts (n_buckets-
@@ -1090,10 +985,8 @@ def term_dictionary(quads_ds, n_buckets: int | None = None):
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import cluster_cpus, default_parts
+    from ..runtime import cluster_cpus
 
-    n_parts = default_parts(1.0)
     if n_buckets is None:
         n_buckets = max(8, 2 * cluster_cpus())
 
@@ -1102,11 +995,7 @@ def term_dictionary(quads_ds, n_buckets: int | None = None):
 
         cols = [t[c] for c in ("graph", "subj", "pred", "obj")
                 if c in t.column_names]
-        terms = pc.unique(pa.chunked_array(cols))
-        return pa.table({
-            "term": terms,
-            "part": pa.array(fast_part_hash(terms, n_parts)),
-        })
+        return pa.table({"term": pc.unique(pa.chunked_array(cols))})
 
     def part_distinct(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1120,10 +1009,9 @@ def term_dictionary(quads_ds, n_buckets: int | None = None):
         return pa.table({"term": terms,
                          "key": pa.array(keys, pa.int64())})
 
-    dterms = (quads_ds.map_batches(distinct_terms, batch_format="pyarrow")
-              .groupby("part").map_groups(part_distinct,
-                                          batch_format="pyarrow")
-              .materialize())
+    dterms = hash_exchange(
+        quads_ds.map_batches(distinct_terms, batch_format="pyarrow"),
+        "term", part_distinct, batch_format="pyarrow").materialize()
     mm = dterms.aggregate(Min("key"), Max("key"))
     if not mm or mm.get("min(key)") is None:
         return dterms.map_batches(
@@ -1169,7 +1057,7 @@ def term_dictionary(quads_ds, n_buckets: int | None = None):
                                                  batch_format="pandas")
 
 
-def encode_quads(quads_ds, dict_ds=None, n_parts: int | None = None,
+def encode_quads(quads_ds, dict_ds=None,
                  broadcast_max_terms: int = 5_000_000):
     """Dictionary-encoded quads — the other half of the triple-store
     load: every (graph, subj, pred, obj) string is replaced by its
@@ -1187,10 +1075,8 @@ def encode_quads(quads_ds, dict_ds=None, n_parts: int | None = None,
     4-way hash-join plan of a store's bulk loader, for dictionaries
     that outgrow the object-store broadcast (~100s of MB of terms).
     Both paths are equivalence-tested."""
-    from ..runtime import default_parts
     from ..stages.graph import _attach_val, _collect_table
 
-    n_parts = n_parts or default_parts(1.0)
     if dict_ds is None:
         dict_ds = term_dictionary(quads_ds)
     dict_ds = dict_ds.materialize()
@@ -1228,7 +1114,7 @@ def encode_quads(quads_ds, dict_ds=None, n_parts: int | None = None,
     for col, out in (("graph", "g_id"), ("subj", "s_id"),
                      ("pred", "p_id"), ("obj", "o_id")):
         ds = _attach_val(ds, vals, key_col=col, out_col=out,
-                         n_parts=n_parts)
+                         n_parts=exchange_parts())
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1240,7 +1126,7 @@ def encode_quads(quads_ds, dict_ds=None, n_parts: int | None = None,
     return ds.map_batches(finish, batch_format="pyarrow")
 
 
-def kg_delta(quads_a, quads_b, n_parts: int | None = None):
+def kg_delta(quads_a, quads_b):
     """Incremental-KG maintenance delta: classify every canonical quad
     of two KG builds as ``kept`` (in both), ``removed`` (only in A) or
     ``added`` (only in B). The interesting semantics come free from
@@ -1248,33 +1134,22 @@ def kg_delta(quads_a, quads_b, n_parts: int | None = None):
     survives a partial crawl retraction — it is ``removed`` only when
     its LAST source page goes.
 
-    Shape: both quad streams ride ONE exchange hash-partitioned on the
-    full 6-column quad identity (tag union — side bit, no join
-    operator); the per-partition finisher groups by identity and maps
-    the side set to the status. Returns the 6 identity columns +
-    ``status``."""
+    Shape: both quad streams ride ONE subject ``hash_exchange`` (tag
+    union — side bit, no join operator; a subject's quads from both
+    builds colocate); the per-partition finisher groups by the 6-column
+    quad identity and maps the side set to the status. Returns the 6
+    identity columns + ``status``."""
     import numpy as np
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
     key = ["graph", "subj", "pred", "obj", "obj_is_literal",
            "obj_datatype"]
 
     def tag(side):
         def fn(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             t = t.select(key)
-            k = t[key[0]]
-            for c in key[1:4]:
-                k = pc.binary_join_element_wise(k, t[c], "\x1f")
-            out = t.append_column(
+            return t.append_column(
                 "side", pa.array(np.full(t.num_rows, side, np.int8)))
-            return out.append_column(
-                "part", pa.array(fast_part_hash(k, n_parts)))
         return fn
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -1285,12 +1160,13 @@ def kg_delta(quads_a, quads_b, n_parts: int | None = None):
         out["status"] = status
         return out
 
-    return (quads_a.map_batches(tag(0), batch_format="pyarrow")
-            .union(quads_b.map_batches(tag(1), batch_format="pyarrow"))
-            .groupby("part").map_groups(finish, batch_format="pandas"))
+    return hash_exchange(
+        [quads_a.map_batches(tag(0), batch_format="pyarrow"),
+         quads_b.map_batches(tag(1), batch_format="pyarrow")],
+        "subj", finish, batch_format="pandas")
 
 
-def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
+def negative_samples(facts_ds, k: int = 4,
                      broadcast_max_terms: int = 5_000_000):
     """FILTERED NEGATIVE SAMPLING — the KG-embedding training-prep step
     (TransE-family corruption, Bordes et al. 2013): for every distinct
@@ -1311,10 +1187,10 @@ def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
          (object-store broadcast + ``pc.take`` under
          ``broadcast_max_terms``, co-partitioned ``_attach_val`` merge
          above it),
-      5. the filter: ONE tag-union exchange hash-partitioned on
-         (subj, pred) — every true (s,p,o) co-locates with every
-         candidate (s,p,neg), so the anti-join is a per-partition
-         vectorized merge, no all-pairs stage.
+      5. the filter: ONE subject ``hash_exchange`` of a tag union —
+         every true (s,p,o) co-locates with every candidate (s,p,neg),
+         so the anti-join is a per-partition vectorized merge, no
+         all-pairs stage.
 
     Returns (subj, pred, obj, slot, neg_obj)."""
     import hashlib
@@ -1324,11 +1200,8 @@ def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
     import pyarrow.compute as pc
     import ray
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
     from ..stages.graph import _attach_val, _collect_table, _distinct
 
-    n_parts = n_parts or default_parts(1.0)
     tr = _distinct(facts_ds, ["subj", "pred", "obj"]).materialize()
     ents = term_dictionary(
         tr.map_batches(lambda t: t.select(["subj", "obj"]),
@@ -1382,15 +1255,15 @@ def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
             lambda t: t.append_column("tid_s", t["tid"].cast(pa.string())),
             batch_format="pyarrow")
         resolved = _attach_val(keyed, vals, key_col="tid_s",
-                               out_col="neg_obj", n_parts=n_parts)
+                               out_col="neg_obj",
+                               n_parts=exchange_parts())
         resolved = resolved.map_batches(
             lambda t: t.select(["subj", "pred", "obj", "slot", "neg_obj"]),
             batch_format="pyarrow")
 
     def tag(is_true: int):
         def fn(t: pa.Table) -> pa.Table:
-            key = pc.binary_join_element_wise(t["subj"], t["pred"], "\x1f")
-            out = pa.table({
+            return pa.table({
                 "subj": t["subj"], "pred": t["pred"], "obj": t["obj"],
                 "slot": (t["slot"] if "slot" in t.column_names
                          else pa.array(np.full(t.num_rows, -1, np.int64))),
@@ -1399,8 +1272,6 @@ def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
                 "is_true": pa.array(
                     np.full(t.num_rows, is_true, np.int8)),
             })
-            return out.append_column(
-                "part", pa.array(fast_part_hash(key, n_parts)))
         return fn
 
     def anti(df: pd.DataFrame) -> pd.DataFrame:
@@ -1412,9 +1283,10 @@ def negative_samples(facts_ds, k: int = 4, n_parts: int | None = None,
         out = m[m["_merge"] == "left_only"]
         return out[["subj", "pred", "obj", "slot", "neg_obj"]]
 
-    return (resolved.map_batches(tag(0), batch_format="pyarrow")
-            .union(tr.map_batches(tag(1), batch_format="pyarrow"))
-            .groupby("part").map_groups(anti, batch_format="pandas"))
+    return hash_exchange(
+        [resolved.map_batches(tag(0), batch_format="pyarrow"),
+         tr.map_batches(tag(1), batch_format="pyarrow")],
+        "subj", anti, batch_format="pandas")
 
 
 SHACL_REQUIRED = ("kg:fetchedAt", "kg:lang", "kg:domain", "kg:title",
@@ -1422,7 +1294,7 @@ SHACL_REQUIRED = ("kg:fetchedAt", "kg:lang", "kg:domain", "kg:title",
 
 
 def shacl_report(quads_ds, target_class: str = "kg:WebPage",
-                 required=SHACL_REQUIRED, n_parts: int | None = None):
+                 required=SHACL_REQUIRED):
     """SHACL-style SHAPE VALIDATION: for every subject typed
     ``target_class`` (rdf:type), report each REQUIRED predicate it
     fails to assert — the sh:minCount 1 property-shape check a KG
@@ -1433,16 +1305,13 @@ def shacl_report(quads_ds, target_class: str = "kg:WebPage",
     with the min-cardinality half.
 
     Shape: per-batch distinct (subj, pred) combiner (+ the rdf:type
-    target rows tagged along) → ONE subject-hash exchange → per-subject
+    target rows tagged along) → ONE subject ``hash_exchange`` → per-subject
     vectorized set difference against the constant required tuple
     (closure broadcast — vocabulary-sized). Returns (subj,
     missing_pred), one row per violation."""
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     req = list(required)
 
     def combine(t: pa.Table) -> pa.Table:
@@ -1451,10 +1320,8 @@ def shacl_report(quads_ds, target_class: str = "kg:WebPage",
         keep = pc.or_(is_type, pc.is_in(
             t["pred"], value_set=pa.array(req, pa.string())))
         t = t.filter(keep)
-        g = (pa.table({"subj": t["subj"], "pred": t["pred"]})
-             .group_by(["subj", "pred"]).aggregate([]))
-        return g.append_column(
-            "part", pa.array(fast_part_hash(g["subj"], n_parts)))
+        return (pa.table({"subj": t["subj"], "pred": t["pred"]})
+                .group_by(["subj", "pred"]).aggregate([]))
 
     def check(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["subj", "pred"])
@@ -1473,16 +1340,16 @@ def shacl_report(quads_ds, target_class: str = "kg:WebPage",
                                      pa.string())
                          for c in ("subj", "missing_pred")})
 
-    return (quads_ds.map_batches(combine, batch_format="pyarrow")
-            .groupby("part").map_groups(check, batch_format="pandas"))
+    return hash_exchange(quads_ds.map_batches(combine,
+                                              batch_format="pyarrow"),
+                         "subj", check, batch_format="pandas")
 
 
 INVERSE_PREDS = (("kg:acquired", "kg:acquiredBy"),
                  ("kg:basedIn", "kg:hosts"))
 
 
-def inverse_closure(facts_ds, pairs=INVERSE_PREDS,
-                    n_parts: int | None = None):
+def inverse_closure(facts_ds, pairs=INVERSE_PREDS):
     """owl:inverseOf ENTAILMENT materialization: for each declared
     inverse pair (p, p⁻), every asserted ``s p o`` entails ``o p⁻ s``
     — the OWL companion of `rdfs_type_closure`'s rdfs9 chaining, and
@@ -1491,41 +1358,31 @@ def inverse_closure(facts_ds, pairs=INVERSE_PREDS,
     (consumers union them with the asserted stream).
 
     Shape: one stateless flip map (constant pred dictionary in the
-    closure) + one (subj, pred, obj)-hash distinct exchange."""
+    closure) + one subject ``hash_exchange`` for the distinct."""
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     fwd = {p: i for p, i in pairs}
 
     def flip(t: pa.Table) -> pa.Table:
         mask = pc.is_in(t["pred"],
                         value_set=pa.array(list(fwd), pa.string()))
         t = t.filter(mask)
-        import numpy as np
         import pandas as pd
         inv = pd.Series(t["pred"].to_pandas()).map(fwd).to_numpy(
             dtype=object)
-        out = pa.table({
+        return pa.table({
             "subj": t["obj"], "pred": pa.array(inv, pa.string()),
             "obj": t["subj"]})
-        key = pc.binary_join_element_wise(
-            out["subj"], out["pred"], out["obj"], "\x1f")
-        return out.append_column(
-            "part", pa.array(fast_part_hash(key, n_parts)))
 
     def distinct(df):
         return df.drop_duplicates(["subj", "pred", "obj"])[
             ["subj", "pred", "obj"]]
 
-    return (facts_ds.map_batches(flip, batch_format="pyarrow")
-            .groupby("part").map_groups(distinct,
-                                        batch_format="pandas"))
+    return hash_exchange(facts_ds.map_batches(flip, batch_format="pyarrow"),
+                         "subj", distinct, batch_format="pandas")
 
 
-def facts_as_of(facts_ds, pages_ds, as_of_us: int,
-                n_parts: int | None = None):
+def facts_as_of(facts_ds, pages_ds, as_of_us: int):
     """POINT-IN-TIME (time-travel) KG query: the value each (subject,
     predicate) slot held AS OF a given instant — the episode of
     `fact_intervals` most recently OPENED at or before the cutoff (a
@@ -1535,26 +1392,18 @@ def facts_as_of(facts_ds, pages_ds, as_of_us: int,
     ``as_of = +inf``.
 
     Shape: the episode stream (slot-cardinality, far below the fact
-    stream) filtered to ``from_ts <= as_of`` → ONE (subj, pred)-hash
-    exchange keeping the max-episode row per slot. Returns (subj,
-    pred, obj, as_of_from)."""
+    stream) filtered to ``from_ts <= as_of`` → ONE subject
+    ``hash_exchange`` keeping the max-episode row per slot. Returns
+    (subj, pred, obj, as_of_from)."""
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
-    eps = fact_intervals(facts_ds, pages_ds, n_parts=n_parts)
+    eps = fact_intervals(facts_ds, pages_ds)
 
     def pick(t: pa.Table) -> pa.Table:
         from_us = pc.cast(t["from_ts"], pa.int64())
         t = t.filter(pc.less_equal(from_us, as_of_us))
-        out = pa.table({"subj": t["subj"], "pred": t["pred"],
-                        "obj": t["obj"], "from_ts": t["from_ts"],
-                        "episode_no": t["episode_no"]})
-        return out.append_column(
-            "part", pa.array(fast_part_hash(out["subj"], n_parts)))
+        return t.select(["subj", "pred", "obj", "from_ts", "episode_no"])
 
     def keep_last(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["subj", "pred", "episode_no"])
@@ -1563,12 +1412,11 @@ def facts_as_of(facts_ds, pages_ds, as_of_us: int,
             "subj": df["subj"], "pred": df["pred"], "obj": df["obj"],
             "as_of_from": df["from_ts"]})
 
-    return (eps.map_batches(pick, batch_format="pyarrow")
-            .groupby("part").map_groups(keep_last,
-                                        batch_format="pandas"))
+    return hash_exchange(eps.map_batches(pick, batch_format="pyarrow"),
+                         "subj", keep_last, batch_format="pandas")
 
 
-def literal_stats(quads_ds, n_parts: int | None = None):
+def literal_stats(quads_ds):
     """LITERAL QA PROFILE per predicate — the data-quality scan a
     publisher runs before loading a store: over literal objects only,
     assertion volume, distinct lexical forms, datatyped share, exact
@@ -1578,17 +1426,13 @@ def literal_stats(quads_ds, n_parts: int | None = None):
     newline-in-literal contract made measurable).
 
     Shape: per-batch vectorized partials (Arrow string kernels; one
-    row per predicate per batch) → ONE pred-hash exchange folding
+    row per predicate per batch) → ONE pred ``hash_exchange`` folding
     sums/mins/maxes — distinct lexical forms ride the same exchange
     as per-batch DISTINCT (pred, obj) tag rows, exact because a
     predicate's rows co-locate. Returns (pred, n_literals, n_forms,
     n_typed, min_len, max_len, n_newline)."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
 
     def combine(t: pa.Table) -> pa.Table:
         t = t.filter(pc.cast(t["obj_is_literal"], pa.bool_()))
@@ -1608,12 +1452,10 @@ def literal_stats(quads_ds, n_parts: int | None = None):
         g = (base.group_by(["pred", "obj"])
              .aggregate([("len", "min"), ("len", "count"),
                          ("typed", "sum"), ("nl", "sum")]))
-        out = pa.table({
+        return pa.table({
             "pred": g["pred"], "obj": g["obj"],
             "len": g["len_min"], "n": g["len_count"],
             "tn": g["typed_sum"], "nn": g["nl_sum"]})
-        return out.append_column(
-            "part", pa.array(fast_part_hash(out["pred"], n_parts)))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         df = (df.groupby(["pred", "obj"], as_index=False)
@@ -1630,5 +1472,6 @@ def literal_stats(quads_ds, n_parts: int | None = None):
         return g[["pred", "n_literals", "n_forms", "n_typed",
                   "min_len", "max_len", "n_newline"]]
 
-    return (quads_ds.map_batches(combine, batch_format="pyarrow")
-            .groupby("part").map_groups(fold, batch_format="pandas"))
+    return hash_exchange(quads_ds.map_batches(combine,
+                                              batch_format="pyarrow"),
+                         "pred", fold, batch_format="pandas")

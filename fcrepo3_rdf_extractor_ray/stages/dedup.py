@@ -1182,13 +1182,10 @@ def dedup_incremental(committed_ds, incoming_ds, text_col: str = "text",
     # kept-id set is ≤ |incoming wave| — broadcast once to recover text
     import ray
 
-    # single execution: pull the block refs once (the old
-    # ``.count()``-then-refs guard re-ran the whole hash+exchange plan)
-    tbs = [tb for tb in ray.get(kept_ids_ds.to_arrow_refs())
-           if tb.num_rows and tb.num_columns]
-    kept_tbl = (pa.concat_tables(tbs)["doc_id"].combine_chunks()
-                if tbs else pa.array([], pa.int64()))
-    kept_ref = ray.put(kept_tbl)
+    from .graph import _collect_table
+
+    kept_ref = ray.put(_collect_table(kept_ids_ds, pa.schema(
+        [("doc_id", pa.int64())]))["doc_id"].combine_chunks())
 
     def survivors(t: pa.Table) -> pa.Table:
         ids = ray.get(kept_ref)

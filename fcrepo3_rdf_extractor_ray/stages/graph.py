@@ -226,19 +226,16 @@ def pagerank(edges_ds, iters: int = 5, damping_pct: int = 85,
 
 def _collect_table(ds, schema: pa.Schema) -> pa.Table:
     """Concatenate a small Dataset's blocks into one Arrow table,
-    skipping the schema-less zero-row blocks Ray emits for empty
-    partitions (they break ``pa.concat_tables``). Ray 2.49's
-    ``to_arrow_refs`` passes PANDAS blocks through unconverted (incl.
-    the no-column empties pandas map stages emit) — convert those here.
-    Every block is cast to ``schema`` so mixed-lineage blocks concat."""
-    import pandas as pd
+    skipping the zero-row blocks Ray emits for empty partitions (pandas
+    map stages emit them without columns). Every block is cast to
+    ``schema`` so mixed-lineage blocks concat.
 
+    The plan runs once: Ray 2.49's ``to_arrow_refs`` on a lazy Dataset
+    starts a second execution (its schema probe) and shuts it down with
+    tasks still running; ``iter_batches`` streams the one execution's
+    blocks to the end."""
     tabs = []
-    for b in ray.get(ds.to_arrow_refs()):
-        if isinstance(b, pd.DataFrame):
-            if not len(b) or not len(b.columns):
-                continue
-            b = pa.Table.from_pandas(b, preserve_index=False)
+    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         if not b.num_rows or not b.num_columns:
             continue
         tabs.append(b.select(schema.names).cast(schema))
@@ -998,12 +995,11 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
                                         batch_format="pyarrow")
                       .groupby("part").map_groups(deg_final,
                                                   batch_format="pandas"))
-        tabs = [t for t in ray.get(dropped_ds.to_arrow_refs())
-                if t.num_rows]
-        if not tabs:
+        dropped = _collect_table(
+            dropped_ds, pa.schema([("node", pa.string())]))["node"]
+        if not len(dropped):
             break
-        dropped = pa.concat_tables(tabs)["node"].combine_chunks()
-        dref = ray.put(dropped)
+        dref = ray.put(dropped.combine_chunks())
 
         def drop_edges(t: pa.Table) -> pa.Table:
             bad = ray.get(dref)

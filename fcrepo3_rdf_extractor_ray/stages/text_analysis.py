@@ -954,12 +954,12 @@ def collocations(docs_ds, min_count: int = 5, text_col="text",
     if uni.count() <= broadcast_vocab_limit:
         import ray
 
-        tabs = [t for t in ray.get(uni.to_arrow_refs()) if t.num_rows]
-        utab = (pa.concat_tables(tabs) if tabs
-                else pa.table({"w": pa.array([], pa.string()),
-                               "c": pa.array([], pa.int64())}))
+        from .graph import _collect_table
+
+        utab = _collect_table(uni, pa.schema([("w", pa.string()),
+                                              ("c", pa.int64())]))
         uref = ray.put((utab["w"].combine_chunks(),
-                        pc.cast(utab["c"].combine_chunks(), pa.int64())))
+                        utab["c"].combine_chunks()))
 
         def finish_bcast(t: pa.Table) -> pa.Table:
             words, counts = ray.get(uref)

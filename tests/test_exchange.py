@@ -74,11 +74,14 @@ def test_empty_input_gives_no_rows(ray_session):
 @pytest.mark.parametrize("cpus", [1, 64, 256])
 def test_migrated_queries_invariant_to_partition_count(
         cpus, sf_dir, monkeypatch):
-    """A window op, a tag-union merge and merge_upsert give the same rows
+    """A window op, tag-union merges, merge_upsert and the KG's
+    composite-key, two-exchange and three-sided sites give the same rows
     whatever partition count the session's CPU count implies."""
     import __ray_entry__ as em
 
-    names = ["rel_rolling", "rel_outer_join", "rel_merge"]
+    names = ["rel_rolling", "rel_outer_join", "rel_merge",
+             "kg_fact_current", "kg_delta", "kg_pred_stats",
+             "kg_entity_cards"]
 
     def rows(name):
         df = to_pandas(em.queries()[name](sf_dir))
@@ -135,8 +138,10 @@ def test_stale_pages_cache_is_synthesized_again(sf_dir, tmp_path,
 #   "part"; the bucket boundaries depend on the count, so it is a range
 #   exchange, not a hash exchange.
 # - canonicalize.py, 0.
+# - kg.py, 0 (term_dictionary's rank groups by "bucket", a range).
 ALLOWED_PART_GROUPBYS = {"pipelines/relational.py": 1,
-                         "stages/canonicalize.py": 0}
+                         "stages/canonicalize.py": 0,
+                         "pipelines/kg.py": 0}
 
 
 def test_no_hand_written_hash_exchange_grows_back():

@@ -226,3 +226,25 @@ def test_deterministic_walks_both_modes(ray_session, monkeypatch):
                for r in deterministic_walks(_edges_ds(es).repartition(4),
                                             length=4, **kw).take_all()}
         assert got == want, kw
+
+
+def test_collect_table_runs_its_input_once(ray_session, tmp_path):
+    """``_collect_table`` executes a lazy plan once: one UDF call per
+    input block, and no second execution (a schema probe) whose
+    shutdown cancels tasks still running."""
+    import os
+    import uuid
+
+    from fcrepo3_rdf_extractor_ray.stages.graph import _collect_table
+
+    calls = str(tmp_path)
+
+    def udf(t: pa.Table) -> pa.Table:
+        open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+        return t
+
+    ds = rd.range(8, override_num_blocks=8).map_batches(
+        udf, batch_size=None, batch_format="pyarrow")
+    got = _collect_table(ds, pa.schema([("id", pa.int64())]))
+    assert sorted(got["id"].to_pylist()) == list(range(8))
+    assert len(os.listdir(calls)) == 8

@@ -150,12 +150,11 @@ def test_derived_defaults_flagship_unchanged(fn_name, sf_dir, ray_session):
 
 def test_round4f_ops_nparts_invariant(ray_session):
     """The round-4f exchanges are partition-count independent: link
-    reciprocity, pred stats, modularity, the five neighbour-pair
-    algorithms and the weighted / seeded rankers return identical rows
-    at n_parts ∈ {3, 16, 64} on a random graph / fact stream."""
+    reciprocity, modularity, the five neighbour-pair algorithms and the
+    weighted / seeded rankers return identical rows at
+    n_parts ∈ {3, 16, 64} on a random graph."""
     import ray.data as rd
 
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import pred_stats
     from fcrepo3_rdf_extractor_ray.stages.graph import (
         clustering_coefficients, modularity_profile, neighborhood_jaccard,
         pagerank_weighted, resource_alloc_scores, triangle_count,
@@ -172,10 +171,6 @@ def test_round4f_ops_nparts_invariant(ray_session):
         "src_host": [p[rng.randint(2)] for p in pairs],
         "dst_host": [p[1 - rng.randint(2)] for p in pairs],
         "n_links": [int(rng.randint(1, 9)) for _ in pairs]})
-    facts_t = pa.table({
-        "subj": [f"e{rng.randint(12)}" for _ in range(400)],
-        "pred": [f"p{rng.randint(4)}" for _ in range(400)],
-        "obj": [f"e{rng.randint(15)}" for _ in range(400)]})
     weighted_t = edges_t.append_column(
         "n_pages", pa.array([int(rng.randint(1, 5)) for _ in pairs]))
     directed_t = edges_t.rename_columns(["subj", "obj"])
@@ -191,8 +186,6 @@ def test_round4f_ops_nparts_invariant(ray_session):
     for build in (
         lambda np_: link_reciprocity(
             rd.from_arrow(host_t).repartition(5), n_parts=np_),
-        lambda np_: pred_stats(
-            rd.from_arrow(facts_t).repartition(5), n_parts=np_),
         lambda np_: modularity_profile(
             rd.from_arrow(edges_t).repartition(5),
             rd.from_arrow(labels_t), n_parts=np_),

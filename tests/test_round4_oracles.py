@@ -459,7 +459,7 @@ def test_fact_current_drops_pageless_facts(ray_session):
     pages = rd.from_pandas(pd.DataFrame({
         "url": ["u1"],
         "warc_ts": pd.to_datetime([1_000_000], unit="us")}))
-    out = current_facts(facts, pages, n_parts=2).to_pandas()
+    out = current_facts(facts, pages).to_pandas()
     # slot (a, p): only the paged assertion u1/"old" survives; slot
     # (b, p) is asserted solely from the pageless u9 and is absent
     assert len(out) == 1
