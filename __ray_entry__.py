@@ -389,23 +389,21 @@ def _q_kg_meta_quads(sf_dir: str):
     from fcrepo3_rdf_extractor_ray.functions.textextract import (
         PageParseError, parse_page)
     from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
-    from fcrepo3_rdf_extractor_ray.stages.extract import meta_quad_rows
+    from fcrepo3_rdf_extractor_ray.stages.extract import (append_page_quads,
+                                                          quads_from_columns)
     from fcrepo3_rdf_extractor_ray.stages.filters import skip_empty_literals_table
-    from fcrepo3_rdf_extractor_ray.schema import empty_quads_table, quads_table
 
     def fn(t: pa.Table) -> pa.Table:
-        rows = []
+        cols = ([], [], [], [], [])
         for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
             try:
                 # catch-all containment, matching stages/extract.py (a
                 # post-parse data error — e.g. unmapped robots enum —
                 # must also never fail the task)
-                rows.extend(meta_quad_rows(url, parse_page(html)))
+                append_page_quads(cols, url, parse_page(html), facts=False)
             except Exception:
                 continue
-        if not rows:
-            return empty_quads_table()
-        return skip_empty_literals_table(quads_table(*zip(*rows)))
+        return skip_empty_literals_table(quads_from_columns(cols))
 
     return pages_for_sf(sf_dir).map_batches(fn, batch_format="pyarrow")
 
@@ -414,8 +412,7 @@ def _q_kg_fact_quads(sf_dir: str):
     from fcrepo3_rdf_extractor_ray.pipelines.kg import (extract_raw_quads,
                                                         pages_for_sf)
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, resolve_quads)
+    from fcrepo3_rdf_extractor_ray.stages.canonicalize import resolve_quads
     import pyarrow.compute as pc
 
     raw = extract_raw_quads(pages_for_sf(sf_dir))
@@ -425,8 +422,7 @@ def _q_kg_fact_quads(sf_dir: str):
                                             "kg:basedIn"]))),
         batch_format="pyarrow",
     ).materialize()
-    mapping = build_entity_map(facts, build_alias_table())
-    return resolve_quads(facts, mapping)
+    return resolve_quads(facts, build_alias_table())
 
 
 def _q_kg_term_dict(sf_dir: str):
@@ -673,18 +669,6 @@ def _q_kg_quads_all(sf_dir: str):
     from fcrepo3_rdf_extractor_ray.pipelines.kg import run_kg
 
     return run_kg(sf_dir)
-
-
-def _q_kg_quads_join_resolve(sf_dir: str):
-    """Same flagship result with the entity map forced onto its at-scale
-    route (a (norm, label) Dataset, resolved by join instead of a
-    broadcast dict) — oracle-identical to kg_quads_all."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import (canonical_quads,
-                                                        extract_raw_quads,
-                                                        pages_for_sf)
-
-    raw = extract_raw_quads(pages_for_sf(sf_dir)).materialize()
-    return canonical_quads(raw, driver_link_threshold=0)
 
 
 def _warc_shards_for_sf(sf_dir: str) -> list[str]:
@@ -1150,19 +1134,18 @@ def _q_kg_entity_cards(sf_dir: str):
                                                         extract_raw_quads,
                                                         pages_for_sf)
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, resolve_quads)
+    from fcrepo3_rdf_extractor_ray.stages.canonicalize import resolve_quads
     from fcrepo3_rdf_extractor_ray.stages.ner import detect_mentions
 
     pages = pages_for_sf(sf_dir)
-    raw = extract_raw_quads(pages).map_batches(
+    alias = build_alias_table()
+    # materialized: entity_cards reads the facts twice
+    facts = resolve_quads(extract_raw_quads(pages).map_batches(
         lambda t: t.filter(pc.is_in(t["pred"], value_set=pa.array(
             ["kg:worksWith", "kg:acquired", "kg:basedIn"]))),
-        batch_format="pyarrow").materialize()
-    mapping = build_entity_map(raw, build_alias_table())
-    facts = resolve_quads(raw, mapping)
+        batch_format="pyarrow").materialize(), alias)
     return entity_cards(facts, detect_mentions(pages),
-                        pages.select_columns(["url", "warc_ts"]), mapping)
+                        pages.select_columns(["url", "warc_ts"]), alias)
 
 
 def _q_web_host_cap(sf_dir: str):
@@ -3188,7 +3171,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_meta_quads": _q_kg_meta_quads,
         "kg_fact_quads": _q_kg_fact_quads,
         "kg_quads_all": _q_kg_quads_all,
-        "kg_quads_join_resolve": _q_kg_quads_join_resolve,
         "kg_mentions": _q_kg_mentions,
         "kg_extracted_text": _q_kg_extracted_text,
         "ta_token_count": _q_ta_token_count,
@@ -3285,17 +3267,6 @@ ANTI JOIN tr t
   ON t.subj = n.subj AND t.pred = n.pred AND t.obj = n.neg_obj
 """,
         "kg_quads_all": (
-            _U_CTE
-            + "SELECT graph, subj, pred, obj, obj_is_literal, obj_datatype,\n"
-            + "       min(src_url) AS src_url, count(*) AS n_src FROM (\n"
-            + _PAGE_QUADS_SQL
-            + " UNION ALL "
-            + _META_QUADS_SQL
-            + " UNION ALL "
-            + _FACT_QUADS_SQL
-            + ") q GROUP BY 1, 2, 3, 4, 5, 6"
-        ),
-        "kg_quads_join_resolve": (
             _U_CTE
             + "SELECT graph, subj, pred, obj, obj_is_literal, obj_datatype,\n"
             + "       min(src_url) AS src_url, count(*) AS n_src FROM (\n"

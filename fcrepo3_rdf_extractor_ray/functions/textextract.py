@@ -21,6 +21,7 @@ from __future__ import annotations
 import html as _html
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 _RE_DROP = re.compile(
     r"<(script|style|nav|header|footer|aside)\b[^>]*>.*?</\1>", re.S | re.I
@@ -41,8 +42,22 @@ class PageParseError(ValueError):
 class ParsedPage:
     title: str | None = None
     metas: list[tuple[str, str]] = field(default_factory=list)  # (name, content)
-    text: str = ""  # boilerplate-stripped main text
     fact_sentences: list[str] = field(default_factory=list)
+    doc: str = field(default="", repr=False)  # boilerplate blocks dropped
+
+    @cached_property
+    def text(self) -> str:
+        """Boilerplate-stripped main text, derived from ``doc`` on first
+        access: the concatenation of attribute-free <p> blocks, <br>
+        folded to newlines, residual inline tags stripped, entities
+        unescaped, blocks newline-joined. Classed <p> (fact/boilerplate)
+        excluded. A quads-only caller never pays for it."""
+        paras = []
+        for p in _RE_BARE_P.findall(self.doc):
+            p = _RE_BR.sub("\n", p)
+            p = _RE_TAG.sub("", p)
+            paras.append(_html.unescape(p))
+        return "\n".join(paras)
 
 
 def parse_page(html_bytes: bytes) -> ParsedPage:
@@ -56,21 +71,12 @@ def parse_page(html_bytes: bytes) -> ParsedPage:
 
     doc = _RE_DROP.sub("", doc)
 
-    page = ParsedPage()
+    page = ParsedPage(doc=doc)
     m = _RE_TITLE.search(doc)
     if m:
         page.title = _html.unescape(m.group(1))
     for name, content in _RE_META.findall(doc):
         page.metas.append((name, _html.unescape(content)))
-    # Main text = concatenation of attribute-free <p> blocks: <br> folded
-    # to newlines, residual inline tags stripped, entities unescaped,
-    # blocks newline-joined. Classed <p> (fact/boilerplate) excluded.
-    paras = []
-    for p in _RE_BARE_P.findall(doc):
-        p = _RE_BR.sub("\n", p)
-        p = _RE_TAG.sub("", p)
-        paras.append(_html.unescape(p))
-    page.text = "\n".join(paras)
     for cls, body in _RE_CLASSED_P.findall(doc):
         if cls == "fact":
             page.fact_sentences.append(_html.unescape(body))

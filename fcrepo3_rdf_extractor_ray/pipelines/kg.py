@@ -11,24 +11,27 @@ sorted materialization):
         (task form; the resumable run's waves run the same kernel as
         write tasks that checkpoint the quads and return lineage rows)
       → [checkpoint boundary: raw quads, materialized]  # html long gone
-      → build_entity_map: per-block distinct norms folded on the
-        driver (no exchange) → alias link + min-ID union-find → a
-        driver dict; past the norm threshold the fold stops and a
-        sip64 exchange, actor-pool link and distributed union-find
-        build a (norm, label) Dataset instead
-      → resolve_quads (broadcast the dict, or join the Dataset)
-      → dedup_quads: per-batch combiner → coalesce to a range count
-        sized by CPUs and the raw quads' bytes → sort(subj,pred,obj),
-        the one exchange → per-block dedup finish in full sink order
+      → per-batch task: resolve_quads (each block links its own distinct
+        `surf:` norms: alias hit, embedding match or skolem IRI) fused
+        with dedup_quads' combiner
+      → coalesce to a range count sized by CPUs and the raw quads'
+        bytes → sort(subj,pred,obj), the one exchange → per-block dedup
+        finish in full sink order
       → materialize_sorted, one sink pass: per sorted block, a
         Parquet shard + a same-stem N-Quads shard
 
+There is no entity-map build between extract and resolve: the linker
+gives each norm exactly one candidate, so a global min-ID union-find
+over (norm, candidate) pairs would return every norm's own candidate
+(stages/canonicalize.py). A ``run_kg`` job is two Ray executions: the
+raw-quads materialize, then the sink write.
+
 ``run_kg`` keeps the raw quads in the object store between extraction
 and canonicalization (raw quads are a small fraction of the html-bearing
-input); ``run_kg_resumable`` writes them, and then the entity map, to
-atomic Parquet checkpoints with lineage manifests (state/lineage.py),
-and reads the raw checkpoint back into the object store once for the
-fold and the resolve.
+input); their size sets the dedup range count. ``run_kg_resumable``
+writes them to atomic Parquet checkpoints with lineage manifests
+(state/lineage.py) — the one resume boundary — and reads them back into
+the object store once before the same tail.
 Each of its waves is one ``write_datasink`` pass of plain tasks
 (``WaveCheckpointSink``): no actor pool, and the per-block lineage rows
 travel back as the write tasks' return values.
@@ -48,7 +51,7 @@ import pyarrow as pa
 from ray.data.datasource import Datasink
 
 from ..sources.pages import build_alias_table, read_pages, synthesize_pages
-from ..stages.canonicalize import build_entity_map, resolve_quads
+from ..stages.canonicalize import resolve_quads
 from ..stages.dedup import dedup_quads
 from ..stages.exchange import exchange_parts, hash_exchange
 
@@ -82,15 +85,12 @@ def extract_raw_quads(pages_ds, batch_size: int = 4096,
     )
 
 
-def canonical_quads(raw, driver_link_threshold: int | None = None):
-    """Raw quads → entity map → resolved, deduplicated quads in sink
-    order: the tail of ``run_kg`` (``run_kg_resumable`` runs the same
-    two steps and checkpoints the map between them). ``raw`` is
-    materialized: the map and the resolve both read it, and its size
-    sets the dedup range count."""
-    mapping = build_entity_map(raw, build_alias_table(),
-                               driver_link_threshold)
-    return dedup_quads(resolve_quads(raw, mapping),
+def canonical_quads(raw):
+    """Raw quads → resolved, deduplicated quads in sink order: the tail
+    of ``run_kg`` and ``run_kg_resumable``. ``raw`` is materialized: its
+    size sets the dedup range count (``size_bytes()`` of a lazy Dataset
+    would execute it)."""
+    return dedup_quads(resolve_quads(raw, build_alias_table()),
                        input_bytes=raw.size_bytes())
 
 
@@ -107,61 +107,34 @@ def run_kg(sf_dir: str, repeat: int = 1, skip_empty_literals: bool = True,
     ``n_salts`` is accepted and ignored (the benchmark still passes it)."""
     pages = (pages_ds if pages_ds is not None
              else pages_for_sf(sf_dir, repeat=repeat))
-    # in-memory checkpoint: raw quads are consumed twice (entity-map
-    # build + resolve) — materialize so pages are parsed exactly once
+    # in-memory checkpoint: its size sets the dedup range count
     raw = extract_raw_quads(
         pages, skip_empty_literals=skip_empty_literals).materialize()
     return canonical_quads(raw)
 
 
-def _read_entity_map(checkpoint_dir: str):
-    """The committed (norm, label) checkpoint in the form
-    ``build_entity_map`` returns for its size: a driver dict at or below
-    ``DRIVER_LINK_THRESHOLD`` rows (the manifest's count), else the
-    Dataset read lazily."""
-    import json
-
-    import pyarrow.parquet as pq
-
-    from ..stages import canonicalize
-    from ..state.lineage import _ckpt_dir, read_checkpoint
-
-    d = _ckpt_dir(checkpoint_dir, "entitymap")
-    with open(os.path.join(d, "_MANIFEST.json")) as f:
-        rows = json.load(f)["rows"]
-    if rows > canonicalize.DRIVER_LINK_THRESHOLD:
-        return read_checkpoint(checkpoint_dir, "entitymap")
-    t = pq.read_table(d)  # skips the _-prefixed manifest
-    return dict(zip(t["norm"].to_pylist(), t["label"].to_pylist()))
-
-
 def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                      wave_size: int = 4,
                      max_waves: int | None = None,
-                     skip_empty_literals: bool = True, repeat: int = 1,
-                     crash_after_entitymap: bool = False):
+                     skip_empty_literals: bool = True, repeat: int = 1):
     """Resumable flagship run: the pages shards are processed in waves of
     ``wave_size`` files; each wave is one streaming task-form write
     (``WaveCheckpointSink`` over ``extract_quads_kernel``) that commits
     an atomic per-group checkpoint with lineage. A crashed run
     re-executes only uncommitted waves (``max_waves`` exists so tests can
-    simulate the crash; ``crash_after_entitymap`` simulates the OTHER
-    crash boundary — right after the entity-map checkpoint commits,
-    before resolve). After extraction, canonicalize/dedup run over
-    the union of committed groups, on the same entity-map route as
-    ``run_kg``.
-    Returns the final quads Dataset, or None if the run "crashed" at
-    either boundary. ``repeat`` scales the synthesized corpus (×N
-    copies) for stress runs."""
+    simulate the crash). After extraction, ``run_kg``'s tail
+    (``canonical_quads``) runs over the union of committed groups; an
+    ``entitymap`` stage left by an older version is not read.
+    Returns the final quads Dataset, or None if the run "crashed".
+    ``repeat`` scales the synthesized corpus (×N copies) for stress
+    runs."""
     import functools
 
     import ray.data as rd
 
     from ..stages.extract import extract_quads_kernel
-    from ..state.lineage import (WaveCheckpointSink, checkpoint_exists,
-                                 checkpoint_quads, checkpoint_table,
-                                 committed_groups, merge_lineage,
-                                 read_all_groups)
+    from ..state.lineage import (WaveCheckpointSink, committed_groups,
+                                 merge_lineage, read_all_groups)
     # imported per call, not bound at module import: a caller may
     # re-point the pages cache by patching sources.pages.synthesize_pages
     from ..sources.pages import synthesize_pages
@@ -203,28 +176,8 @@ def run_kg_resumable(sf_dir: str, checkpoint_dir: str,
                                extract, {"input_files": files}))
         done += 1
     merge_lineage(checkpoint_dir, stage="extract")
-    # read once: the entity-map fold and the resolve both consume it
-    raw = read_all_groups(checkpoint_dir, "extract").materialize()
-    # mid-pipeline resume continues PAST extraction: the entity map (the
-    # second expensive phase) is itself an atomic checkpoint of
-    # (norm, label) rows, whichever form build_entity_map returned — a
-    # crash between map-build and resolve re-reads it instead of
-    # re-linking. A dict is written by the driver itself: no Ray write
-    # execution for a map that is already in hand.
-    if not checkpoint_exists(checkpoint_dir, "entitymap"):
-        mapping = build_entity_map(raw, build_alias_table())
-        if isinstance(mapping, dict):
-            checkpoint_table(pa.table(
-                {"norm": pa.array(list(mapping), pa.string()),
-                 "label": pa.array(list(mapping.values()), pa.string())}),
-                checkpoint_dir, stage="entitymap")
-        else:
-            checkpoint_quads(mapping, checkpoint_dir, stage="entitymap")
-        if crash_after_entitymap:
-            return None  # simulated crash between map build and resolve
-    mapping = _read_entity_map(checkpoint_dir)
-    return dedup_quads(resolve_quads(raw, mapping),
-                       input_bytes=raw.size_bytes())
+    return canonical_quads(
+        read_all_groups(checkpoint_dir, "extract").materialize())
 
 
 def adjacency_table(quads_ds):
@@ -731,7 +684,7 @@ def pred_stats(facts_ds):
     return hash_exchange([ps, po], "pred", fold, batch_format="pandas")
 
 
-def entity_cards(facts_ds, mentions_ds, pages_ds, mapping):
+def entity_cards(facts_ds, mentions_ds, pages_ds, alias_table):
     """KNOWLEDGE-PANEL MATERIALIZATION: one card per canonical entity —
     mention volume, distinct mentioning pages, first/last fetch time,
     fact in/out degree and the dominant outgoing predicate. This is
@@ -739,14 +692,10 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping):
     page of every knowledge-panel UI); the reference stops at the raw
     triple stream, so the card assembly is the step after it.
 
-    Shape: mention norms resolve through the broadcast canonical map
-    (``ray.put`` once, misses skolemize — the lookup `resolve_quads`
-    broadcasts with). A (norm, label) mapping Dataset, which
-    `build_entity_map` returns only above ``DRIVER_LINK_THRESHOLD``
-    norms, is collected onto the driver into that dict first: the map
-    this stage broadcasts is driver-sized whatever route built it, so
-    above the threshold it gives up the Dataset route's no-``take_all``
-    bound (there is no join form of this stage yet). Page fetch
+    Shape: mention norms link per batch with the linker `resolve_quads`
+    runs (``alias_table`` ``ray.put`` once, one cached index per worker;
+    misses take an embedding match or skolemize), so a mention and a
+    fact surface with the same norm land on the same card. Page fetch
     times attach via ONE url ``hash_exchange`` of a tag union (the
     pages table STREAMS, never broadcast); fact in/out degrees and
     per-predicate counts ride per-batch combiners. Everything then
@@ -763,13 +712,11 @@ def entity_cards(facts_ds, mentions_ds, pages_ds, mapping):
     import pyarrow.compute as pc
     import ray
 
-    from ..stages.canonicalize import canonical_ids
-    if not isinstance(mapping, dict):
-        mapping = {r["norm"]: r["label"] for r in mapping.take_all()}
-    map_ref = ray.put(mapping)
+    from ..stages.canonicalize import canonical_ids, worker_linker
+    alias_ref = ray.put(alias_table)
 
     def tag_m(t: pa.Table) -> pa.Table:
-        ent = canonical_ids(t["norm"], ray.get(map_ref), prefix="")
+        ent = canonical_ids(t["norm"], worker_linker(alias_ref), prefix="")
         g = (pa.table({"url": t["src_url"], "entity": ent,
                        "n": pa.array(np.ones(t.num_rows, np.int64))})
              .group_by(["url", "entity"]).aggregate([("n", "sum")]))
@@ -1064,7 +1011,7 @@ def encode_quads(quads_ds, dict_ds=None,
     dense ``term_dictionary`` id, yielding the integer quad table a
     store actually indexes. Returns ``(g_id, s_id, p_id, o_id)``.
 
-    Auto-routed like the entity map / minhash clustering: a dictionary
+    Auto-routed like minhash clustering: a dictionary
     ≤ ``broadcast_max_terms`` rows is collected as ONE Arrow table
     (Arrow-refs, no driver pandas) and broadcast via ``ray.put`` —
     encoding is then a single stateless pass with four ``pc.index_in``

@@ -717,7 +717,7 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
     left-outer hash join against customer and a null-marker filter — no
     driver-side key set, both sides stream."""
     from ray.data.aggregate import Count
-    from ..stages.canonicalize import _safe_join_partitions
+    from ..runtime import safe_join_partitions
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
@@ -734,7 +734,7 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT"):
         # no order matches the priority → every customer qualifies; the
         # join would crash on the schema-less blocks of an empty Dataset
         return cust
-    n_parts = _safe_join_partitions(okeys.count())
+    n_parts = safe_join_partitions(okeys.count())
     joined = cust.join(okeys, join_type="left_outer",
                        num_partitions=n_parts,
                        on=("c_custkey",), right_on=("o_custkey",))

@@ -32,6 +32,20 @@ def pool(frac: float = 0.75, cap: int | None = None) -> tuple[int, int]:
     return (1, hi)
 
 
+def safe_join_partitions(small_side_count: int, cap: int = 64) -> int:
+    """Join partition count sized so every hash partition of the smaller
+    side stays non-empty with overwhelming probability — Ray 2.49's hash
+    join materializes empty partitions as schema-less blocks and the
+    pyarrow join then fails ("No match for key field on right side").
+    ≥64 uniformly-hashed keys per partition keeps P(empty) ≪ 1e-20.
+
+    Also capped at 2× the session's CPUs: the hash-join operator spawns
+    an aggregator actor per partition, and a partition count far above
+    the CPU count over-subscribes the node (observed: 64 partitions on
+    an 8-CPU session thrash 100+ worker processes and stall)."""
+    return max(1, min(cap, 2 * cluster_cpus(), small_side_count // 64))
+
+
 def default_parts(mult: float = 1.0, *, input_bytes: int | None = None,
                   per_part_bytes: int = 256 << 20,
                   lo: int = 8, hi: int = 4096) -> int:

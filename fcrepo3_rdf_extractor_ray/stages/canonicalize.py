@@ -1,29 +1,37 @@
-"""Entity canonicalization — the wide shuffle stage (north rule).
+"""Entity canonicalization: every unresolved surface linked to its IRI
+inside the task that reads its block.
 
-One route (SURVEY.md §7.1 step 5), ``build_entity_map`` then
-``resolve_quads``:
+Extraction carries each entity as ``surf:<norm>``. ``resolve_quads``
+rewrites subj/obj block by block in one ``map_batches`` task (on the
+flagship it fuses into dedup's per-batch combiner), with no global
+entity map:
 
-1. per-block combiner: unique normalized surfaces (``norm``) of a quads
-   block — bounds every norm to ≤ #blocks rows before anything wide;
-2. the driver folds the combiner's output, block by block, into one
-   Arrow distinct array and stops as soon as it passes
-   ``DRIVER_LINK_THRESHOLD`` — no exchange while the map is small, and
-   never more than threshold + one block's norms on the driver. Past the
-   threshold (or at a threshold ≤ 0, which skips the fold) the distinct
-   runs as one ``hash_exchange`` on a SipHash-64 key (``unique_norms``,
-   per-partition Arrow distinct);
-3. alias-dictionary + embedding linking (broadcast small side via
-   ``ray.put`` once, read per actor in ``__init__`` — never re-shipped
-   per batch);
-4. min-ID union-find cluster resolution across keys (two surfaces linked
-   to one entity merge; cluster id = lexicographic min candidate IRI).
-   When the fold finished at or below the threshold, linking and
-   union-find run on the driver and the map is a dict; above it they run
-   distributed (actor-pool link, contraction union-find) and the map is
-   a (norm, label) Dataset that never reaches the driver (SURVEY.md §7.4);
-5. ``resolve_quads`` applies either form back to the quads: a dict as a
-   broadcast lookup, a Dataset as two tag-union merges through
-   ``hash_exchange`` (on subj, then on obj).
+    raw quads block
+      → pd.factorize(subj), pd.factorize(obj): the block's distinct values
+      → the ``surf:`` norms this worker has not linked yet (norm → IRI
+        memo, bounded)
+      → AliasLinkStage: alias-dictionary hit (one Arrow index_in + take),
+        else the nearest alias embedding at cosine ≥ 0.99, else a skolem
+        IRI
+      → take back to the block's rows
+
+Why no map: the linker gives each norm exactly ONE candidate, so the
+bipartite (norm, candidate) graph a min-ID union-find would resolve is a
+star forest — each component holds one candidate, and every norm's
+label is its own candidate (``tests/test_canonicalize.py`` pins this
+against a reference union-find). Linking is a per-norm function, and a
+norm gets the same IRI whatever block, worker or retry it arrives in:
+the dictionary lookup is exact, and a miss's embedding similarities are
+computed with elementwise IEEE operations in a fixed order, so they do
+not depend on which other norms share its batch.
+
+The alias table ships once per call (``ray.put``); each worker builds
+the alias index once per table ref (the reference's per-worker interned
+vocabulary, RdfVocabulary.java:45-81).
+
+``union_find_labels_ds`` is the distributed min-ID union-find over a
+bipartite edge Dataset; ``stages.dedup`` runs it on graphs whose
+components hold many candidates.
 """
 
 from __future__ import annotations
@@ -34,100 +42,47 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..runtime import pool as _pool
-from ..functions.hashing import siphash64_batch
 from ..functions.normalize import skolem_iri
-from .exchange import hash_exchange
 from .extract import SURF_PREFIX
 
-# Distinct-norm count at or below which build_entity_map links on the
-# driver and returns a dict; read at call time, so one assignment moves
-# every entry point.
-DRIVER_LINK_THRESHOLD = 100_000
+# norm → IRI entries a worker keeps before it starts over (the cap-and-
+# clear rule of dedup._worker_memo)
+LINK_MEMO_CAP = 1_000_000
 
 
-def _batch_unique_norms(t: pa.Table) -> pa.Table:
-    """Combiner: the distinct unresolved surfaces of a quads batch, as
-    bare norms (surface prefix stripped)."""
-    chunks = []
-    for col in ("subj", "obj"):
-        c = t[col]
-        if isinstance(c, pa.Array):
-            c = pa.chunked_array([c])
-        filtered = c.filter(pc.starts_with(c, SURF_PREFIX))
-        chunks.extend(filtered.chunks)
-    arr = pa.chunked_array(chunks or [pa.array([], pa.string())])
-    uniq = pc.unique(arr)
-    return pa.table({
-        "norm": pc.utf8_slice_codeunits(uniq, len(SURF_PREFIX), 2**31 - 1)})
-
-
-def unique_norms(quads_ds):
-    """Distinct (norm, sip64) via one hash exchange on ``sip64``.
-
-    The SipHash runs after the combiner, so only distinct-per-block
-    norms pay the Python SipHash; the per-partition distinct is a
-    vectorized Arrow group_by — one Python call per partition, never per
-    key. The combiner in ``_batch_unique_norms`` already bounds a head
-    norm's duplicates to ≤ #blocks rows."""
-    def add_key(t: pa.Table) -> pa.Table:
-        h = pa.array(siphash64_batch(t["norm"].to_pylist()).astype(np.int64),
-                     pa.int64())  # int64 for stable groupby
-        return t.append_column("sip64", h)
-
-    def distinct(t: pa.Table) -> pa.Table:
-        return t.group_by(["norm", "sip64"]).aggregate([])
-
-    ds = (quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
-          .map_batches(add_key, batch_format="pyarrow"))
-    return hash_exchange(ds, "sip64", distinct, batch_format="pyarrow")
-
-
-def _fold_norms(quads_ds, threshold: int) -> pa.Array | None:
-    """The distinct norms of ``quads_ds`` folded on the driver, one
-    combined block at a time, or None once they pass ``threshold`` (the
-    fold stops there: the driver never holds more than threshold + one
-    block's distinct norms)."""
-    acc = pa.array([], pa.string())
-    blocks = quads_ds.map_batches(_batch_unique_norms, batch_format="pyarrow")
-    for batch in blocks.iter_batches(batch_size=None, batch_format="pyarrow"):
-        acc = pc.unique(pa.chunked_array([acc, batch["norm"]],
-                                         pa.string()))
-        if len(acc) > threshold:
-            return None
-    return acc
+def _cosines(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``m @ e.T`` for unit rows, summed term by term: every element is
+    the same sequence of IEEE multiplies and adds whatever the shape of
+    ``m``, so row i depends on ``m[i]`` alone (a BLAS matmul may pick
+    its kernel, and with it the rounding, by shape)."""
+    sims = m[:, :1] * e[:, 0]
+    for k in range(1, m.shape[1]):
+        sims += m[:, k:k + 1] * e[:, k]
+    return sims
 
 
 class AliasLinkStage:
-    """Actor stage: (norm, sip64) → (norm, candidate_id).
+    """The linker: norms in, canonical IRIs out.
 
-    The alias dictionary (+ embedding matrix) is fetched from the object
-    store once per actor (``ray.get`` in ``__init__``), mirroring the
-    reference's per-worker interned vocabulary (RdfVocabulary.java:45-81).
-    Surfaces missing from the dictionary fall back to embedding-cosine
-    match against alias embeddings when close enough, else a skolem IRI.
-    """
+    A dictionary hit takes the alias's entity id (duplicate surfaces:
+    last wins). A miss falls back to the nearest alias embedding when
+    its cosine reaches ``emb_threshold``, else to a skolem IRI. Linked
+    norms are memoized, up to ``LINK_MEMO_CAP`` entries; past that the
+    memo starts over."""
 
-    def __init__(self, alias_ref, emb_threshold: float = 0.99):
-        alias_tbl: pa.Table = ray.get(alias_ref)
-        surfaces = alias_tbl["surface"].to_pylist()
-        ids = alias_tbl["entity_id"].to_pylist()
-        # duplicate surfaces: last wins (dict semantics of the original
-        # per-row path); the dedup'd arrays feed the vectorized index_in
-        import pandas as pd
-
-        s = pd.Series(ids, index=surfaces)
+    def __init__(self, alias_tbl: pa.Table, emb_threshold: float = 0.99):
+        s = pd.Series(alias_tbl["entity_id"].to_pylist(),
+                      index=alias_tbl["surface"].to_pylist())
         s = s[~s.index.duplicated(keep="last")]
         self.surface_arr = pa.array(s.index.to_numpy(dtype=object),
                                     pa.string())
         self.id_arr = pa.array(s.to_numpy(dtype=object), pa.string())
         emb = np.asarray(alias_tbl["embedding"].to_pylist(), dtype=np.float64)
-        if emb.size:
-            self.emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        else:
-            self.emb = emb
+        self.emb = (emb / np.linalg.norm(emb, axis=1, keepdims=True)
+                    if emb.size else emb)
         self.emb_ids = alias_tbl["entity_id"].to_pylist()
         self.emb_threshold = emb_threshold
+        self.memo: dict[str, str] = {}
 
     @staticmethod
     def _surface_embedding(norm: str) -> np.ndarray:
@@ -140,98 +95,100 @@ class AliasLinkStage:
         n = np.linalg.norm(v)
         return v / n if n else v
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        # dict hits resolved in ONE Arrow pass (index_in + take); only
-        # the misses pay Python — their embeddings batch into a single
-        # (n_miss × 16) @ (16 × n_alias) matmul instead of a per-norm
-        # probe + matmul (this sits on the flagship path)
-        import pyarrow.compute as pc
-
-        norm_col = t["norm"].combine_chunks() if isinstance(
-            t["norm"], pa.ChunkedArray) else t["norm"]
-        idx = pc.index_in(norm_col, value_set=self.surface_arr)
+    def _link(self, norms: list[str]) -> np.ndarray:
+        # dict hits in ONE Arrow pass (index_in + take); only the misses
+        # pay Python, their embeddings stacked into one similarity pass
+        idx = pc.index_in(pa.array(norms, pa.string()),
+                          value_set=self.surface_arr)
         cands = pc.take(self.id_arr, idx).to_numpy(zero_copy_only=False)
-        miss = pc.is_null(idx).to_numpy(zero_copy_only=False)
-        if miss.any():
-            miss_norms = np.asarray(norm_col.to_pylist(),
-                                    dtype=object)[miss]
-            if len(self.emb):
-                M = np.stack([self._surface_embedding(n)
-                              for n in miss_norms])
-                sims = M @ self.emb.T
-                j = sims.argmax(axis=1)
-                best = sims[np.arange(len(j)), j]
-                resolved = np.array(
-                    [self.emb_ids[jj] if bb >= self.emb_threshold
-                     else skolem_iri(n)
-                     for n, jj, bb in zip(miss_norms, j, best)],
-                    dtype=object)
-            else:
-                resolved = np.array([skolem_iri(n) for n in miss_norms],
-                                    dtype=object)
-            cands[miss] = resolved
-        return pa.table({
-            "norm": t["norm"],
-            "candidate_id": pa.array(cands, pa.string()),
-        })
+        miss = np.flatnonzero(pc.is_null(idx).to_numpy(zero_copy_only=False))
+        if not len(miss):
+            return cands
+        miss_norms = [norms[i] for i in miss]
+        if len(self.emb):
+            sims = _cosines(np.stack([self._surface_embedding(n)
+                                      for n in miss_norms]), self.emb)
+            j = sims.argmax(axis=1)
+            best = sims[np.arange(len(j)), j]
+            linked = [self.emb_ids[jj] if bb >= self.emb_threshold
+                      else skolem_iri(n)
+                      for n, jj, bb in zip(miss_norms, j, best)]
+        else:
+            linked = [skolem_iri(n) for n in miss_norms]
+        cands[miss] = np.array(linked, dtype=object)
+        return cands
+
+    def __call__(self, norms: list[str]) -> np.ndarray:
+        """Distinct norms → their IRIs (object array, same order)."""
+        memo = self.memo
+        out = np.array([memo.get(n) for n in norms], dtype=object)
+        new = [i for i, v in enumerate(out) if v is None]
+        if new:
+            fresh = [norms[i] for i in new]
+            iris = self._link(fresh)
+            out[new] = iris
+            if len(memo) + len(fresh) > LINK_MEMO_CAP:
+                memo.clear()
+            if len(fresh) <= LINK_MEMO_CAP:
+                memo.update(zip(fresh, iris))
+        return out
 
 
-def union_find_min_id(pairs: list[tuple[str, str]]) -> dict[str, str]:
-    """Min-ID cluster resolution over bipartite (norm, candidate) edges.
-    Two norms merge when they share a candidate id; the cluster's
-    canonical IRI is the lexicographic min candidate. Driver-side —
-    edges are #entities-scale (SURVEY.md §7.4 documents the Dataset
-    iterate-to-fixpoint variant for when they are not)."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for norm, cand in pairs:
-        union("n\x00" + norm, "c\x00" + cand)
-
-    # canonical candidate per cluster root = min candidate id
-    best: dict[str, str] = {}
-    for _, cand in pairs:
-        r = find("c\x00" + cand)
-        if r not in best or cand < best[r]:
-            best[r] = cand
-    out: dict[str, str] = {}
-    for norm, _ in pairs:
-        out[norm] = best[find("n\x00" + norm)]
-    return out
+# this worker's linker: (alias ref hex, AliasLinkStage) — one alias
+# table at a time, so a long-lived worker never holds an old job's index
+_WORKER_LINKER: list = [None, None]
 
 
-def _safe_join_partitions(small_side_count: int, cap: int = 64) -> int:
-    """Join partition count sized so every hash partition of the smaller
-    side stays non-empty with overwhelming probability — Ray 2.49's hash
-    join materializes empty partitions as schema-less blocks and the
-    pyarrow join then fails ("No match for key field on right side").
-    ≥64 uniformly-hashed keys per partition keeps P(empty) ≪ 1e-20.
+def worker_linker(alias_ref) -> AliasLinkStage:
+    """The linker for the ``ray.put`` alias table ``alias_ref``, built
+    once per worker and reused by every block it resolves."""
+    key = alias_ref.hex()
+    if _WORKER_LINKER[0] != key:
+        _WORKER_LINKER[:] = [key, AliasLinkStage(ray.get(alias_ref))]
+    return _WORKER_LINKER[1]
 
-    Also capped at 2× the session's CPUs: the hash-join operator spawns
-    an aggregator actor per partition, and a partition count far above
-    the CPU count over-subscribes the node (observed: 64 partitions on
-    an 8-CPU session thrash 100+ worker processes and stall)."""
-    from ..runtime import cluster_cpus
 
-    return max(1, min(cap, 2 * cluster_cpus(), small_side_count // 64))
+def canonical_ids(col, link: AliasLinkStage,
+                  prefix: str = SURF_PREFIX) -> pa.Array:
+    """Rewrite ``prefix``-led values through ``link`` (the prefix
+    stripped); other values pass through. With ``prefix=""`` every value
+    is a bare norm. Only the distinct prefixed values reach Python
+    (entity surfaces repeat heavily per batch): they are dictionary-
+    encoded, linked, and taken back to their rows, all in Arrow."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    mask = pc.fill_null(pc.starts_with(col, prefix), False)
+    surf = col.filter(mask).dictionary_encode()
+    if not len(surf):
+        return col
+    norms = pc.utf8_slice_codeunits(surf.dictionary, len(prefix), 2**31 - 1)
+    iris = pa.array(link(norms.to_pylist()), pa.string())
+    return pc.replace_with_mask(col, mask, iris.take(surf.indices))
+
+
+def resolve_quads(quads_ds, alias_table: pa.Table):
+    """Link every ``surf:`` subj/obj of ``quads_ds`` to its canonical
+    IRI, block by block. ``alias_table`` (surface, entity_id, embedding)
+    is ``ray.put`` once; each task reads it through ``worker_linker``.
+    A stateless task closure, not an actor pool: the per-worker state
+    is a module-level cache, and tasks reuse the already-warm workers."""
+    alias_ref = ray.put(alias_table)
+
+    def resolver(t: pa.Table) -> pa.Table:
+        link = worker_linker(alias_ref)
+        for col in ("subj", "obj"):
+            t = t.set_column(t.schema.get_field_index(col), col,
+                             canonical_ids(t[col], link))
+        return t
+
+    return quads_ds.map_batches(resolver, batch_format="pyarrow")
 
 
 def union_find_labels_ds(edges_ds):
-    """Distributed min-ID cluster resolution over the bipartite
-    (norm, candidate) edge Dataset — the at-scale path promised in
-    SURVEY.md §7.4 for when the edge list outgrows the driver.
+    """Distributed min-ID cluster resolution over a bipartite
+    (norm, candidate_id) edge Dataset: two norms merge when they share a
+    candidate, and a cluster's label is its lexicographically least
+    candidate.
 
     Rides the engine's contraction union-find
     (``stages.graph.connected_components`` — O(levels) shuffles,
@@ -239,8 +196,8 @@ def union_find_labels_ds(edges_ds):
     ``n:``, candidates ``c:``; since ``"c:" < "n:"`` lexicographically
     and every component of the bipartite graph contains at least one
     candidate, the component's min tagged name is always
-    ``c:<min candidate id>`` — exactly the min-ID label the driver-side
-    ``union_find_min_id`` computes (equivalence-tested).
+    ``c:<min candidate id>`` — the min-ID label (tested against a
+    driver-side reference union-find).
 
     Returns the (norm, label) Dataset — fully driver-free."""
     from .graph import connected_components
@@ -268,152 +225,18 @@ def union_find_labels_ds(edges_ds):
     return cc.map_batches(out, batch_format="pyarrow")
 
 
-def build_entity_map(quads_ds, alias_table: pa.Table,
-                     driver_link_threshold: int | None = None):
-    """norm → canonical IRI for every unresolved surface in ``quads_ds``.
-
-    The driver folds the per-block distinct norms (``_fold_norms``). If
-    the fold ends at or below ``driver_link_threshold`` (default
-    ``DRIVER_LINK_THRESHOLD``) alias linking and union-find run on the
-    driver (no exchange, no actor pool spin-up for a dictionary lookup)
-    and the result is a dict. Once it passes the threshold the fold
-    stops; the distinct runs as an exchange (``unique_norms``), linking
-    as an actor-pool stage and min-ID resolution as the contraction
-    union-find (``union_find_labels_ds``); the result is the lazy
-    (norm, label) Dataset, with no ``take_all`` anywhere.
-    ``driver_link_threshold=0`` sends any non-empty map down the Dataset
-    route, ``-1`` every map; both skip the fold and start with the
-    exchange. ``resolve_quads`` accepts either form."""
-    if driver_link_threshold is None:
-        driver_link_threshold = DRIVER_LINK_THRESHOLD
-    alias_ref = ray.put(alias_table)
-    if driver_link_threshold > 0:
-        norms = _fold_norms(quads_ds, driver_link_threshold)
-        if norms is not None:
-            linked = AliasLinkStage(alias_ref)(pa.table({"norm": norms}))
-            return union_find_min_id(list(zip(
-                linked["norm"].to_pylist(),
-                linked["candidate_id"].to_pylist())))
-    distinct = unique_norms(quads_ds).materialize()
-    if driver_link_threshold == 0 and distinct.count() == 0:
-        return {}
-    linked = distinct.map_batches(
-        AliasLinkStage,
-        fn_constructor_kwargs={"alias_ref": alias_ref},
-        batch_format="pyarrow",
-        concurrency=_pool(0.5),
-    )
-    return union_find_labels_ds(linked)
-
-
-def canonical_ids(col, mapping: dict[str, str],
-                  prefix: str = SURF_PREFIX) -> pa.Array:
-    """Rewrite ``prefix``-led values through the canonical map (a miss
-    skolemizes the norm); other values pass through. With ``prefix=""``
-    every value is a bare norm. Works on the factorized uniques (entity
-    surfaces repeat heavily per batch) — the per-row path is a
-    vectorized take."""
-    codes, uniques = pd.factorize(col.to_pandas())
-    plen = len(prefix)
-    resolved = np.array(
-        [mapping.get(u[plen:], skolem_iri(u[plen:]))
-         if u.startswith(prefix) else u
-         for u in uniques],
-        dtype=object,
-    )
-    if len(resolved) == 0:
-        return pa.array([], pa.string())
-    return pa.array(resolved[codes], pa.string())
-
-
-def resolve_quads(quads_ds, mapping):
-    """Apply what ``build_entity_map`` returned to the quads' subj/obj.
-
-    A driver dict is broadcast: ``ray.put`` once, each task reads the
-    object-store ref zero-copy (never re-shipped per batch). A stateless
-    task closure, not an actor pool — a dict lookup has no per-worker
-    setup worth paying actor spin-up for, and tasks reuse the
-    already-warm worker processes.
-
-    A (norm, label) Dataset is joined instead (``_resolve_join``), so
-    the map never reaches the driver. Both give the same quads when the
-    mapping was built from the same quads (tested for equivalence)."""
-    if not isinstance(mapping, dict):
-        return _resolve_join(quads_ds, mapping)
-    map_ref = ray.put(mapping)
-
-    def resolver(t: pa.Table) -> pa.Table:
-        m = ray.get(map_ref)
-        t = t.set_column(t.schema.get_field_index("subj"), "subj",
-                         canonical_ids(t["subj"], m))
-        t = t.set_column(t.schema.get_field_index("obj"), "obj",
-                         canonical_ids(t["obj"], m))
-        return t
-
-    return quads_ds.map_batches(resolver, batch_format="pyarrow")
-
-
-def _resolve_join(quads_ds, mapping_ds):
-    """Resolve against the (norm, label) mapping DATASET: two TAG-UNION
-    hash exchanges (key = surf-prefixed subj, then obj). Both sides meet
-    per partition, which resolves with pure Arrow kernels (index_in +
-    take + coalesce — the quad stream never converts to pandas
-    objects). Equal wall time to Ray hash joins at sf0.1, without their
-    sentinel-pad workaround for the 2.49 empty-mapping-partition crash
-    or their per-partition aggregator actors; the quads stream moves
-    twice either way."""
-    mapping_ds = mapping_ds.select_columns(["norm", "label"]).materialize()
-
-    quad_cols = ("graph", "subj", "pred", "obj", "obj_is_literal",
-                 "obj_datatype", "src_url")
-
-    def resolve_on(ds, key: str):
-        def tag_q(t: pa.Table) -> pa.Table:
-            return t.append_column("lab", pa.nulls(t.num_rows, pa.string()))
-
-        def tag_m(t: pa.Table) -> pa.Table:
-            k = pc.binary_join_element_wise(
-                pa.array([SURF_PREFIX] * t.num_rows, pa.string()),
-                t["norm"], "")
-            cols = {c: pa.nulls(t.num_rows, pa.bool_()
-                                if c == "obj_is_literal" else pa.string())
-                    for c in quad_cols}
-            cols[key] = k
-            cols["lab"] = t["label"]
-            return pa.table(cols)
-
-        def merge(t: pa.Table) -> pa.Table:
-            # pure Arrow per-partition resolve: index_in + take — no
-            # pandas object conversion of the 7-column quad stream
-            lab_mask = pc.is_valid(t["lab"])
-            lut = t.filter(lab_mask)
-            rows = t.filter(pc.invert(lab_mask))
-            idx = pc.index_in(rows[key], value_set=lut[key].combine_chunks())
-            got = pc.take(lut["lab"].combine_chunks(), idx)
-            rows = rows.set_column(rows.schema.get_field_index(key), key,
-                                   pc.coalesce(got, rows[key]))
-            return rows.drop_columns(["lab"])
-
-        return hash_exchange(
-            [ds.map_batches(tag_q, batch_format="pyarrow"),
-             mapping_ds.map_batches(tag_m, batch_format="pyarrow")],
-            key, merge, batch_format="pyarrow")
-
-    return resolve_on(resolve_on(quads_ds, "subj"), "obj")
-
-
 # ---------------------------------------------------------------------------
-# Benchmark compatibility: kgbench/jobs.py imports these four names and
-# passes n_salts=1, which is ignored. Delete this block in the next change
-# to the benchmark.
+# Benchmark compatibility: kgbench/jobs.py calls these four names; its "map"
+# is the alias table as a Dataset. Delete with the next benchmark change.
 
-def build_entity_map_auto(quads_ds, alias_table, n_salts=1,
-                          driver_link_threshold=None):
-    return build_entity_map(quads_ds, alias_table, driver_link_threshold)
+def build_entity_map_auto(quads_ds, alias_table, n_salts=1):
+    return ray.data.from_arrow(alias_table)
 
 
-def build_entity_map_ds(quads_ds, alias_table, n_salts=1):
-    return build_entity_map(quads_ds, alias_table, driver_link_threshold=-1)
+def resolve_quads_auto(quads_ds, alias_ds):
+    tables = ray.get(alias_ds.to_arrow_refs())
+    return resolve_quads(quads_ds, pa.concat_tables(tables))
 
 
-resolve_quads_auto = resolve_quads_join_ds = resolve_quads
+build_entity_map_ds = build_entity_map_auto
+resolve_quads_join_ds = resolve_quads_auto

@@ -1,7 +1,7 @@
 """The key-local hash exchange — one place for the partitioning decision.
 
 Every operator that needs all rows of a key in one task (window ops,
-per-key argmax/argmin, tag-union merges, the entity map's distinct)
+per-key argmax/argmin, tag-union merges, distincts)
 goes through ``hash_exchange``. It owns the partition count, the routing
 hash, the shuffle backend and the bookkeeping column, so a change of
 backend (e.g. Ray's hash shuffle) or of the count rule is a change here

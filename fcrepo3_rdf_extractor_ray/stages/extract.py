@@ -17,7 +17,9 @@ benchmark's traced twin still drives it.
 
 The unfused building blocks (``extract_text_batch``, ``page_quads_batch``)
 exist for composition and unit testing; every quad path uses the fused
-kernel, so the expensive parse happens exactly once per page.
+kernel, so the expensive parse happens exactly once per page. The kernel
+never derives a page's main text (``ParsedPage.text`` is computed on
+first access, and only ``extract_text_batch`` asks for it).
 """
 
 from __future__ import annotations
@@ -56,11 +58,14 @@ def page_quads_batch(batch: pa.Table) -> pa.Table:
     emitted even for malformed pages, like the reference's constant object
     triples (ObjectProcessor.java:235-246)."""
     n = batch.num_rows
-    url = batch["url"]
+    # plain arrays, not a Table's chunked columns: quads_table's pa.array
+    # takes an Array as is but converts a ChunkedArray value by value
+    url = batch["url"].combine_chunks()
     # cast to second resolution first: Arrow's %S emits fractional digits,
     # and the contract is ISO_INSTANT with no sub-second zeros (isoDate,
     # ObjectProcessor.java:272-274)
-    iso = pc.strftime(pc.cast(batch["warc_ts"], pa.timestamp("s")), format=ISO_FMT)
+    iso = pc.strftime(pc.cast(batch["warc_ts"].combine_chunks(),
+                              pa.timestamp("s")), format=ISO_FMT)
     domain = pc.replace_substring_regex(url, pattern=r"^(https://[^/]+/).*$", replacement=r"\1")
     empty = pa.nulls(n, pa.string()).fill_null("")
 
@@ -72,7 +77,8 @@ def page_quads_batch(batch: pa.Table) -> pa.Table:
                     pa.array([False] * n), empty, url),
         quads_table(const(GRAPH_IRI), url, const(KG_FETCHED_AT), iso,
                     pa.array([True] * n), const(XSD_DATETIME), url),
-        quads_table(const(GRAPH_IRI), url, const(KG_LANG), batch["lang"],
+        quads_table(const(GRAPH_IRI), url, const(KG_LANG),
+                    batch["lang"].combine_chunks(),
                     pa.array([True] * n), empty, url),
         quads_table(const(GRAPH_IRI), url, const(KG_DOMAIN), domain,
                     pa.array([False] * n), empty, url),
@@ -81,24 +87,8 @@ def page_quads_batch(batch: pa.Table) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# Row-wise parsed extractions (the kernel's per-page steps)
-
-def meta_quad_rows(url: str, page: ParsedPage) -> list[tuple]:
-    """(graph, subj, pred, obj, is_lit, dt, src) rows for title/meta/state.
-    Non-whitelisted meta names are dropped (F3 analog); newline-bearing
-    values preserved verbatim (DublinCoreContentHandlerTest.java:94-97)."""
-    rows = []
-    if page.title is not None:
-        rows.append((GRAPH_IRI, url, KG_TITLE, page.title, True, "", url))
-    state = KG_ACTIVE
-    for name, content in page.metas:
-        if name == "robots":
-            state = robots_state(content)
-        elif name in META_WHITELIST:
-            rows.append((GRAPH_IRI, url, META_WHITELIST[name], content, True, "", url))
-    rows.append((GRAPH_IRI, url, KG_STATE, state, False, "", url))
-    return rows
-
+# Per-page quads, appended to column lists (graph and obj_datatype are
+# the constants GRAPH_IRI and "" for every meta and fact quad)
 
 _FACT_RE = None
 
@@ -113,37 +103,74 @@ def _fact_regex():
     return _FACT_RE
 
 
-def fact_rows_for_page(url: str, page: ParsedPage) -> list[tuple]:
-    """OpenIE-style (src_url, subj_surface, verb, obj_surface) rows from the
-    page's candidate fact sentences (M5 analog — arbitrary body triples)."""
-    rx = _fact_regex()
-    out = []
-    for sent in page.fact_sentences:
-        m = rx.match(sent)
-        if m:
-            out.append((url, m.group(1), m.group(2), m.group(3)))
-    return out
+# surface → norm_surface(surface) on this worker; cleared past the cap,
+# the cap-and-clear rule of dedup._worker_memo
+_NORM_MEMO: dict[str, str] = {}
 
 
-def fact_quad_rows(fact_rows: list[tuple]) -> list[tuple]:
-    """Raw fact quads: entities carried as ``surf:<normalized>`` until the
-    canonicalization shuffle resolves them."""
-    rows = []
-    for url, s, verb, o in fact_rows:
-        rows.append(
-            (GRAPH_IRI, SURF_PREFIX + norm_surface(s), VERB_PRED[verb],
-             SURF_PREFIX + norm_surface(o), False, "", url)
-        )
-    return rows
+def _norm_memo(cap: int = 1_000_000) -> dict:
+    if len(_NORM_MEMO) > cap:
+        _NORM_MEMO.clear()
+    return _NORM_MEMO
 
 
-def _rows_to_quads(rows: list[tuple]) -> pa.Table:
-    if not rows:
-        from ..schema import empty_quads_table
+def append_page_quads(cols: tuple[list, list, list, list, list], url: str,
+                      page: ParsedPage, facts: bool = True) -> None:
+    """Append one parsed page's quads to ``cols`` = (subj, pred, obj,
+    obj_is_literal, src_url) lists: title, whitelisted metas and the
+    robots state (M4 analog; non-whitelisted names dropped, F3;
+    newline-bearing values kept verbatim,
+    DublinCoreContentHandlerTest.java:94-97), then with ``facts`` the
+    OpenIE-style raw fact quads (M5 analog), entities carried as
+    ``surf:<normalized>`` until ``resolve_quads`` links them.
 
-        return empty_quads_table()
-    cols = list(zip(*rows))
-    return quads_table(*cols)
+    A page contributes all its quads or none: on an error (e.g. an
+    unmapped robots value) the lists are cut back before it re-raises."""
+    subj, pred, obj, lit, src = cols
+    n0 = len(subj)
+    try:
+        if page.title is not None:
+            pred.append(KG_TITLE)
+            obj.append(page.title)
+            lit.append(True)
+        state = KG_ACTIVE
+        for name, content in page.metas:
+            if name == "robots":
+                state = robots_state(content)
+            elif name in META_WHITELIST:
+                pred.append(META_WHITELIST[name])
+                obj.append(content)
+                lit.append(True)
+        pred.append(KG_STATE)
+        obj.append(state)
+        lit.append(False)
+        subj.extend([url] * (len(pred) - n0))
+        if facts:
+            rx, memo = _fact_regex(), _norm_memo()
+            for sent in page.fact_sentences:
+                m = rx.match(sent)
+                if m:
+                    for surface, col in ((m.group(1), subj),
+                                         (m.group(3), obj)):
+                        norm = memo.get(surface)
+                        if norm is None:
+                            norm = memo[surface] = norm_surface(surface)
+                        col.append(SURF_PREFIX + norm)
+                    pred.append(VERB_PRED[m.group(2)])
+                    lit.append(False)
+        src.extend([url] * (len(pred) - n0))
+    except Exception:
+        for col in cols:
+            del col[n0:]
+        raise
+
+
+def quads_from_columns(cols: tuple[list, list, list, list, list]
+                       ) -> pa.Table:
+    """The quads table of ``append_page_quads``' column lists."""
+    subj, pred, obj, lit, src = cols
+    n = len(subj)
+    return quads_table([GRAPH_IRI] * n, subj, pred, obj, lit, [""] * n, src)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +181,10 @@ def extract_quads_kernel(batch: pa.Table, skip_empty_literals: bool = True
     """The fused extraction of one pages batch: (quads, contained error
     count). The one copy of the per-page containment loop, shared by
     ``extract_quads_batch``, ``ExtractQuadsStage`` and the resumable
-    run's checkpoint waves."""
+    run's checkpoint waves. It reads no main text (``ParsedPage.text``
+    is derived only on access)."""
     const_quads = page_quads_batch(batch)
-    rows: list[tuple] = []
+    cols: tuple[list, list, list, list, list] = ([], [], [], [], [])
     errors = 0
     for url, html in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
         try:
@@ -164,14 +192,10 @@ def extract_quads_kernel(batch: pa.Table, skip_empty_literals: bool = True
             # a malformed page (parse failure, unexpected enum value in
             # robots/meta, bad date) must never fail the task — mirrors the
             # reference's per-object catch-all (ObjectProcessor.java:172-176).
-            page = parse_page(html)
-            page_rows = list(meta_quad_rows(url, page))
-            page_rows.extend(fact_quad_rows(fact_rows_for_page(url, page)))
+            append_page_quads(cols, url, parse_page(html))
         except Exception:
             errors += 1  # contained: constant quads already emitted
-            continue
-        rows.extend(page_rows)
-    out = pa.concat_tables([const_quads, _rows_to_quads(rows)])
+    out = pa.concat_tables([const_quads, quads_from_columns(cols)])
     if skip_empty_literals:
         from .filters import skip_empty_literals_table
 

@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from .canonicalize import _safe_join_partitions
+from ..runtime import safe_join_partitions
 
 # Broadcast rank rounds while the node set fits a worker; `pagerank`
 # takes its join rounds above this.
@@ -57,8 +57,8 @@ WALKS_BROADCAST_MAX_EDGES = 2_000_000
 
 def _distinct(ds, cols: list[str], n_parts: int | None = None):
     """Distinct rows via per-batch combiner → hash-partition → one
-    vectorized Arrow group_by per partition (same shape as
-    ``unique_norms`` — never one Python call per key)."""
+    vectorized Arrow group_by per partition (never one Python call per
+    key)."""
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(0.5)
     from ..functions.hashing import fast_part_hash
@@ -85,7 +85,7 @@ def _prepare(edges_ds):
 
     edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
     nodes = _node_set(edges)
-    n_join = _safe_join_partitions(nodes.count())
+    n_join = safe_join_partitions(nodes.count())
     deg = edges.groupby("subj").aggregate(Count())
     deg = deg.map_batches(
         lambda t: pa.table({"dsubj": t.column(0),
@@ -2678,7 +2678,7 @@ def sameas_candidates(facts_ds, min_shared: int = 2,
     """ENTITY-RESOLUTION CANDIDATES by shared assertions: subject pairs
     (e1 < e2) asserting at least ``min_shared`` identical (pred, obj)
     slots are owl:sameAs candidates — the structural step AFTER
-    string canonicalization (`build_entity_map` merges surface forms;
+    string canonicalization (`resolve_quads` merges surface forms;
     this surfaces aliases with DIFFERENT surfaces that behave
     identically in the graph). Classic blocking-key ER: the block key
     is the (pred, obj) slot itself.

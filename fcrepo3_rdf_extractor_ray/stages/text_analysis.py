@@ -858,8 +858,8 @@ def collocations(docs_ds, min_count: int = 5, text_col="text",
 
     Small-vocab fast path: when the unigram table fits a broadcast
     (≤ ``broadcast_vocab_limit`` rows) both count-attach exchanges are
-    replaced by one ``ray.put`` + per-batch ``index_in`` lookups — the
-    same dual-path rule as the entity map. The tag-union exchanges
+    replaced by one ``ray.put`` + per-batch ``index_in`` lookups. The
+    tag-union exchanges
     remain the web-scale path (vocabularies grow with the corpus)."""
     from ..runtime import default_parts
     n_parts = n_parts or default_parts(1.0)

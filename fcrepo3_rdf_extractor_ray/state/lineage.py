@@ -106,23 +106,6 @@ def checkpoint_quads(ds, root: str, stage: str, group: str | None = None,
                              dict(manifest, **(extra_manifest or {})), lineage)
 
 
-def checkpoint_table(table: pa.Table, root: str, stage: str) -> str:
-    """Write a driver-held table to an atomic checkpoint without a Ray
-    write — same layout and manifest keys as ``checkpoint_quads``, so
-    either reads back the same. Returns the checkpoint path."""
-    import pyarrow.parquet as pq
-
-    final = _ckpt_dir(root, stage)
-    tmp = final + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    t0 = time.perf_counter()
-    pq.write_table(table, os.path.join(tmp, f"{stage}.parquet"))
-    return commit_checkpoint(tmp, final, {
-        "stage": stage, "group": None,
-        "wall_ms": (time.perf_counter() - t0) * 1000})
-
-
 class WaveCheckpointSink(Datasink):
     """Maps a Dataset through ``fn`` straight into one atomic group
     checkpoint ``<root>/stage=<stage>/group=<group>``, lineage included.

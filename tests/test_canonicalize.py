@@ -1,17 +1,42 @@
-"""Canonicalization shuffle: union-find min-ID semantics, equivalence of
-the driver-dict (broadcast) and Dataset (join) routes of the one
-entity-map build, and block-split invariance of the per-block combiner
-(FIXTURES.md 'block-split min-ID associativity')."""
+"""Canonicalization: per-block linking of unresolved surfaces, its
+independence from block and batch composition, the star-forest identity
+that lets it skip a global union-find, the linker's bounded memo, and
+block-split invariance of the dedup combiner (FIXTURES.md 'block-split
+min-ID associativity')."""
 
+import random
+
+import numpy as np
 import pyarrow as pa
 
 from fcrepo3_rdf_extractor_ray.schema import quads_table
 from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
 from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-    build_entity_map,
+    AliasLinkStage,
     resolve_quads,
-    union_find_min_id,
 )
+
+
+def union_find_min_id(pairs: list[tuple[str, str]]) -> dict[str, str]:
+    """Reference min-ID cluster resolution over bipartite (norm,
+    candidate) edges: two norms merge when they share a candidate id, and
+    a cluster's label is its lexicographically least candidate."""
+    parent: dict[str, str] = {}
+
+    def find(x: str) -> str:
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for norm, cand in pairs:
+        ra, rb = find("n\x00" + norm), find("c\x00" + cand)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    best: dict[str, str] = {}
+    for _, cand in pairs:
+        r = find("c\x00" + cand)
+        best[r] = min(best.get(r, cand), cand)
+    return {norm: best[find("n\x00" + norm)] for norm, _ in pairs}
 
 
 def test_union_find_min_id_merges_shared_candidates():
@@ -33,6 +58,148 @@ def test_union_find_min_id_merges_shared_candidates():
     assert out["acmecorp"] == "ent:e1"
 
 
+# a repetitive surface: one more character barely moves its trigram
+# embedding, so NEAR_MISS is a dictionary miss with cosine ≥ 0.99
+NEAR = "xyz" * 6
+NEAR_MISS = NEAR + "x"
+
+
+def _alias_with_near():
+    """The engine's alias table plus NEAR → ent:xyz, whose embedding is
+    NEAR's own surface embedding."""
+    alias = build_alias_table()
+    emb = AliasLinkStage._surface_embedding(NEAR).astype(np.float32)
+    extra = pa.table({"surface": [NEAR], "entity_id": ["ent:xyz"],
+                      "embedding": pa.array([emb.tolist()],
+                                            alias.schema.field("embedding")
+                                            .type)})
+    return pa.concat_tables([alias, extra])
+
+
+VOCAB = ([f"entity{i}" for i in range(30)]             # alias hits
+         + [f"theentity{i}" for i in range(0, 30, 3)]  # second aliases
+         + [f"widget{i}" for i in range(25)]           # skolem misses
+         + [NEAR_MISS])                                # embedding match
+
+
+def test_alias_link_embedding_fallback():
+    """Unlisted surfaces fall back to embedding-cosine match when within
+    threshold, else skolemize (the alias-dict + embedding entity-linking
+    contract)."""
+    alias = build_alias_table()
+    # threshold -1: nearest alias always wins → deterministic non-skolem
+    out = AliasLinkStage(alias, emb_threshold=-1.0)(["zzzunknownsurface"])
+    assert out[0].startswith("ent:e")  # linked via embedding, not skolem
+    # threshold 2.0 (unreachable): always skolemize
+    stage2 = AliasLinkStage(alias, emb_threshold=2.0)
+    assert list(stage2(["zzzunknownsurface"])) == ["ent:sk:zzzunknownsurface"]
+    # exact dictionary hit beats both
+    assert list(stage2(["entity7"])) == ["ent:e7"]
+    # the default threshold: the near miss links, an unrelated miss does not
+    link = AliasLinkStage(_alias_with_near())
+    assert list(link([NEAR_MISS, "widget3"])) == ["ent:xyz",
+                                                  "ent:sk:widget3"]
+    # an empty alias table skolemizes everything
+    empty = AliasLinkStage(build_alias_table().slice(0, 0))
+    assert list(empty(["alpha"])) == ["ent:sk:alpha"]
+
+
+def test_norm_links_alike_alone_mixed_and_across_blocks():
+    """A norm's IRI does not depend on the batch it is linked in: alone
+    (fresh linker each), in one mixed batch, and spread over shuffled
+    blocks through one memoizing linker — and resolve_quads gives every
+    row that IRI whether the quads come in 1 block or 7."""
+    import ray.data as rd
+
+    alias = _alias_with_near()
+    alone = {n: AliasLinkStage(alias)([n])[0] for n in VOCAB}
+    assert alone["theentity3"] == alone["entity3"] == "ent:e3"
+    assert alone["widget4"] == "ent:sk:widget4"
+    assert alone[NEAR_MISS] == "ent:xyz"
+    mixed = AliasLinkStage(alias)(VOCAB)
+    assert dict(zip(VOCAB, mixed)) == alone
+    rng = random.Random(5)
+    link = AliasLinkStage(alias)
+    for _ in range(3):
+        order = VOCAB[:]
+        rng.shuffle(order)
+        for i in range(0, len(order), 9):
+            block = order[i:i + 9]
+            assert dict(zip(block, link(block))) == {n: alone[n]
+                                                     for n in block}
+
+    n = 400
+    subj = [f"surf:{rng.choice(VOCAB)}" for _ in range(n)]
+    obj = [f"surf:{rng.choice(VOCAB)}" if rng.random() < 0.7 else "lit"
+           for _ in range(n)]
+    t = quads_table(["g"] * n, subj, ["kg:p"] * n, obj,
+                    [o == "lit" for o in obj], [""] * n,
+                    [f"u{i}" for i in range(n)])
+    want = [(alone[s[5:]], alone[o[5:]] if o != "lit" else "lit", u)
+            for s, o, u in zip(subj, obj, t["src_url"].to_pylist())]
+    for blocks in (1, 7):
+        cuts = [i * n // blocks for i in range(blocks + 1)]
+        ds = rd.from_arrow([t.slice(a, b - a)
+                            for a, b in zip(cuts, cuts[1:])])
+        got = sorted((r["subj"], r["obj"], r["src_url"])
+                     for r in resolve_quads(ds, alias).take_all())
+        assert got == sorted(want)
+
+
+def test_linker_labels_are_the_union_find_labels(sf_dir):
+    """Each norm gets exactly one candidate, so the (norm, candidate)
+    graph is a star forest and min-ID union-find over the linker's own
+    pairs returns the linker's labels: per-block linking needs no global
+    map. Checked on the real corpus's norms plus the seeded vocabulary."""
+    import pyarrow.compute as pc
+
+    from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
+    from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_batch
+
+    raw = pages_for_sf(sf_dir).map_batches(extract_quads_batch,
+                                           batch_format="pyarrow")
+    norms = set(VOCAB)
+    for t in raw.iter_batches(batch_format="pyarrow", batch_size=None):
+        for col in ("subj", "obj"):
+            c = t[col].filter(pc.starts_with(t[col], "surf:"))
+            norms.update(v[5:] for v in c.to_pylist())
+    norms = sorted(norms)
+    assert len(norms) > len(VOCAB)
+    labels = AliasLinkStage(_alias_with_near())(norms)
+    pairs = list(zip(norms, labels))
+    assert union_find_min_id(pairs) == dict(pairs)
+
+
+def test_norm_memo_stays_under_cap(monkeypatch):
+    """The per-worker norm → IRI memo never holds more than its cap,
+    whether new norms arrive a few at a time or more than the cap at
+    once, and a cleared memo still links correctly."""
+    from fcrepo3_rdf_extractor_ray.stages import canonicalize
+
+    alias = build_alias_table()
+    want = dict(zip(VOCAB, AliasLinkStage(alias)(VOCAB)))
+    monkeypatch.setattr(canonicalize, "LINK_MEMO_CAP", 10)
+    link = AliasLinkStage(alias)
+    for i in range(0, len(VOCAB), 4):
+        block = VOCAB[i:i + 4]
+        assert list(link(block)) == [want[n] for n in block]
+        assert 0 < len(link.memo) <= 10
+    assert list(link(VOCAB)) == [want[n] for n in VOCAB]  # 66 new > cap
+    assert len(link.memo) <= 10
+
+
+def test_worker_linker_builds_once_per_alias_ref():
+    import ray
+
+    from fcrepo3_rdf_extractor_ray.stages.canonicalize import worker_linker
+
+    ref = ray.put(build_alias_table())
+    first = worker_linker(ref)
+    assert worker_linker(ref) is first
+    other = worker_linker(ray.put(build_alias_table()))
+    assert other is not first and worker_linker(ref) is not first
+
+
 def _raw_quads():
     rows = [
         ("g", "surf:entity7", "kg:worksWith", "surf:theentity7", False, "", "u1"),
@@ -42,56 +209,22 @@ def _raw_quads():
     return quads_table(*zip(*rows))
 
 
-def test_build_map_and_resolve_broadcast_vs_join():
+def test_resolve_links_surfaces_per_block():
     import ray.data as rd
 
     ds = rd.from_arrow(_raw_quads()).repartition(3)
-    mapping = build_entity_map(ds, build_alias_table())
-    assert isinstance(mapping, dict)
-    assert mapping["entity7"] == "ent:e7"
-    assert mapping["theentity7"] == "ent:e7"  # cross-key union-find merge
-    assert mapping["widget3"] == "ent:sk:widget3"
-
-    a = resolve_quads(ds, mapping).take_all()
-    # threshold 0: the same build takes its Dataset route, resolved by join
-    mapping_ds = build_entity_map(ds, build_alias_table(),
-                                  driver_link_threshold=0)
-    assert not isinstance(mapping_ds, dict)
-    b = resolve_quads(ds, mapping_ds).take_all()
-    key = lambda r: tuple(sorted(r.items()))
-    assert sorted(map(key, a)) == sorted(map(key, b))
-    subs = {r["subj"] for r in a}
-    assert subs == {"ent:e7", "ent:sk:widget3", "iri:s"}
+    a = resolve_quads(ds, build_alias_table()).take_all()
+    assert {(r["subj"], r["obj"]) for r in a} == {
+        ("ent:e7", "ent:e7"),          # second alias → the same entity
+        ("ent:sk:widget3", "ent:e7"),
+        ("iri:s", "lit")}
     # untouched rows pass through unchanged
-    assert any(r["obj"] == "lit" and r["obj_is_literal"] for r in a)
-
-
-def test_alias_link_embedding_fallback():
-    """Unlisted surfaces fall back to embedding-cosine match when within
-    threshold, else skolemize (the alias-dict + embedding entity-linking
-    contract)."""
-    import ray
-
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import AliasLinkStage
-
-    alias_ref = ray.put(build_alias_table())
-    # threshold -1: nearest alias always wins → deterministic non-skolem
-    stage = AliasLinkStage(alias_ref, emb_threshold=-1.0)
-    t = pa.table({"norm": pa.array(["zzzunknownsurface"], pa.string())})
-    out = stage(t)["candidate_id"].to_pylist()
-    assert out[0].startswith("ent:e")  # linked via embedding, not skolem
-    # threshold 2.0 (unreachable): always skolemize
-    stage2 = AliasLinkStage(alias_ref, emb_threshold=2.0)
-    out2 = stage2(t)["candidate_id"].to_pylist()
-    assert out2[0] == "ent:sk:zzzunknownsurface"
-    # exact dictionary hit beats both
-    t3 = pa.table({"norm": pa.array(["entity7"], pa.string())})
-    assert stage2(t3)["candidate_id"].to_pylist() == ["ent:e7"]
+    assert sum(r["obj"] == "lit" and r["obj_is_literal"] for r in a) == 5
 
 
 def test_union_find_dataset_matches_driver():
     """The distributed iterate-to-fixpoint min-label propagation must
-    agree with the driver-side union-find on multi-hop clusters."""
+    agree with the reference union-find on multi-hop clusters."""
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
@@ -132,131 +265,3 @@ def test_salt_split_invariance():
     # 3 distinct quads, each repeated 5× → n_src == 5
     assert len(outs[0]) == 3
     assert all(dict(r)["n_src"] == 5 for r in outs[0])
-
-
-def test_dataset_entity_map_path_matches_driver_dict(sf_dir):
-    """The fully-driver-free route (build_entity_map above its threshold
-    → join resolve, no take_all anywhere) must produce the same quad set
-    as the broadcast-dict route."""
-    from fcrepo3_rdf_extractor_ray.pipelines.kg import pages_for_sf
-    from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_batch
-
-    raw = pages_for_sf(sf_dir).map_batches(
-        extract_quads_batch, batch_format="pyarrow").materialize()
-    alias = build_alias_table()
-
-    mapping = build_entity_map(raw, alias)
-    want = resolve_quads(raw, mapping).take_all()
-
-    mapping_ds = build_entity_map(raw, alias, driver_link_threshold=0)
-    assert not isinstance(mapping_ds, dict)
-    got = resolve_quads(raw, mapping_ds).take_all()
-
-    key = lambda r: tuple(sorted(r.items()))
-    assert sorted(map(key, got)) == sorted(map(key, want))
-
-
-def _norm_quads(seed: int, n_blocks: int, per_block: int,
-                vocab: list[str]) -> "pa.Table":
-    """Seeded raw quads whose subj/obj are surfaces drawn from ``vocab``
-    (alias hits, second aliases and misses), in ``n_blocks`` blocks."""
-    import random
-
-    rng = random.Random(seed)
-    n = n_blocks * per_block
-    subj = [f"surf:{rng.choice(vocab)}" for _ in range(n)]
-    obj = [f"surf:{rng.choice(vocab)}" if rng.random() < 0.7 else "lit"
-           for _ in range(n)]
-    return quads_table(["g"] * n, subj, ["kg:p"] * n, obj,
-                       [o == "lit" for o in obj], [""] * n,
-                       [f"u{i}" for i in range(n)])
-
-
-def _blocks(t, n_blocks):
-    import ray.data as rd
-
-    per = t.num_rows // n_blocks
-    return rd.from_arrow([t.slice(i * per, per) for i in range(n_blocks)])
-
-
-def test_fold_map_equals_dataset_route():
-    """The driver fold's dict and the exchange route's (norm, label)
-    Dataset agree entry for entry on a seeded multi-block input."""
-    vocab = ([f"entity{i}" for i in range(30)]
-             + [f"theentity{i}" for i in range(0, 30, 3)]
-             + [f"widget{i}" for i in range(25)])
-    ds = _blocks(_norm_quads(11, 12, 40, vocab), 12)
-    alias = build_alias_table()
-    got = build_entity_map(ds, alias)
-    assert isinstance(got, dict) and len(got) > 40
-    mapping_ds = build_entity_map(ds, alias, driver_link_threshold=0)
-    assert not isinstance(mapping_ds, dict)
-    want = {r["norm"]: r["label"] for r in mapping_ds.take_all()}
-    assert got == want
-
-
-def test_driver_route_never_calls_unique_norms(monkeypatch):
-    from fcrepo3_rdf_extractor_ray.stages import canonicalize
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the driver route must not run the exchange")
-
-    monkeypatch.setattr(canonicalize, "unique_norms", forbidden)
-    mapping = build_entity_map(_blocks(_raw_quads(), 3), build_alias_table())
-    assert mapping["theentity7"] == "ent:e7"
-
-
-def test_fold_exits_early_with_bounded_driver_rows(monkeypatch):
-    """More distinct norms than the threshold, spread over many blocks:
-    the fold stops once it passes the threshold, having pulled no more
-    than threshold + one block's distinct norms to the driver, and the
-    map takes the Dataset route."""
-    from ray.data import Dataset
-
-    from fcrepo3_rdf_extractor_ray.stages import canonicalize
-
-    n_blocks, per_block, threshold = 20, 10, 25
-    # block i holds norms n{i}_0 .. n{i}_9 only: 200 distinct in all
-    vocab = [f"n{i}_{j}" for i in range(n_blocks) for j in range(per_block)]
-    t = quads_table(["g"] * len(vocab), [f"surf:{v}" for v in vocab],
-                    ["kg:p"] * len(vocab), ["lit"] * len(vocab),
-                    [True] * len(vocab), [""] * len(vocab),
-                    ["u"] * len(vocab))
-    ds = _blocks(t, n_blocks)
-    pulled = []
-    iter_batches = Dataset.iter_batches
-
-    def counting(self, *args, **kwargs):
-        for b in iter_batches(self, *args, **kwargs):
-            pulled.append(b.num_rows)
-            yield b
-
-    monkeypatch.setattr(Dataset, "iter_batches", counting)
-    assert canonicalize._fold_norms(ds, threshold) is None
-    assert sum(pulled) <= threshold + max(pulled)
-    assert sum(pulled) < len(vocab)  # stopped early
-    monkeypatch.undo()
-    mapping = build_entity_map(ds, build_alias_table(),
-                               driver_link_threshold=threshold)
-    assert not isinstance(mapping, dict)
-    assert mapping.count() == len(vocab)
-
-
-def test_threshold_edge_cases_keep_routing():
-    """-1: Dataset route even on empty input; 0: Dataset route on any
-    non-empty input (an empty one gives an empty dict); exactly at the
-    threshold: dict; one below: Dataset."""
-    import ray.data as rd
-
-    alias = build_alias_table()
-    empty = rd.from_arrow(_raw_quads().slice(0, 0))
-    assert not isinstance(build_entity_map(empty, alias, -1), dict)
-    assert build_entity_map(empty, alias, 0) == {}
-    ds = _blocks(_raw_quads(), 3)
-    assert not isinstance(build_entity_map(ds, alias, 0), dict)
-    n = len(build_entity_map(ds, alias))
-    assert n == 3  # entity7, theentity7, widget3
-    at = build_entity_map(ds, alias, n)
-    assert isinstance(at, dict) and len(at) == n
-    assert not isinstance(build_entity_map(ds, alias, n - 1), dict)

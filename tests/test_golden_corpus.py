@@ -25,8 +25,7 @@ def _engine_lines(tmp_path) -> set[str]:
 
     from fcrepo3_rdf_extractor_ray.pipelines.kg import materialize_sorted
     from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, resolve_quads)
+    from fcrepo3_rdf_extractor_ray.stages.canonicalize import resolve_quads
     from fcrepo3_rdf_extractor_ray.stages.dedup import dedup_quads
     from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_batch
 
@@ -34,8 +33,7 @@ def _engine_lines(tmp_path) -> set[str]:
         os.path.join(GOLD, "pages_fixture.parquet")).repartition(3)
     raw = pages.map_batches(
         extract_quads_batch, batch_format="pyarrow").materialize()
-    mapping = build_entity_map(raw, build_alias_table())
-    quads = dedup_quads(resolve_quads(raw, mapping))
+    quads = dedup_quads(resolve_quads(raw, build_alias_table()))
     out = str(tmp_path / "golden_out")
     materialize_sorted(quads, out, write_nquads=True,
                        partition_by_subject_hash=False)
@@ -120,3 +118,85 @@ def test_frozen_graph_operators(ray_session):
                                            r["jaccard_micro"]]
           for r in neighborhood_jaccard(co).take_all()}
     assert lj == want["link_jaccard"]
+
+
+def _reference_kernel(batch):
+    """The per-page row path the column-list kernel replaced: every meta
+    and fact quad as a 7-tuple, a page's rows kept only if its whole
+    derivation succeeds, then ``zip(*rows)`` into one table."""
+    from fcrepo3_rdf_extractor_ray.functions.normalize import norm_surface
+    from fcrepo3_rdf_extractor_ray.functions.textextract import parse_page
+    from fcrepo3_rdf_extractor_ray.schema import (
+        GRAPH_IRI, KG_ACTIVE, KG_STATE, KG_TITLE, META_WHITELIST, VERB_PRED,
+        quads_table, robots_state)
+    from fcrepo3_rdf_extractor_ray.stages.extract import (_fact_regex,
+                                                          page_quads_batch)
+    from fcrepo3_rdf_extractor_ray.stages.filters import (
+        skip_empty_literals_table)
+    import pyarrow as pa
+
+    rows, errors = [], 0
+    for url, html in zip(batch["url"].to_pylist(),
+                         batch["html"].to_pylist()):
+        try:
+            page = parse_page(html)
+            page_rows = []
+            if page.title is not None:
+                page_rows.append((GRAPH_IRI, url, KG_TITLE, page.title,
+                                  True, "", url))
+            state = KG_ACTIVE
+            for name, content in page.metas:
+                if name == "robots":
+                    state = robots_state(content)
+                elif name in META_WHITELIST:
+                    page_rows.append((GRAPH_IRI, url, META_WHITELIST[name],
+                                      content, True, "", url))
+            page_rows.append((GRAPH_IRI, url, KG_STATE, state, False, "",
+                              url))
+            for sent in page.fact_sentences:
+                m = _fact_regex().match(sent)
+                if m:
+                    page_rows.append((
+                        GRAPH_IRI, "surf:" + norm_surface(m.group(1)),
+                        VERB_PRED[m.group(2)],
+                        "surf:" + norm_surface(m.group(3)), False, "", url))
+        except Exception:
+            errors += 1
+            continue
+        rows.extend(page_rows)
+    out = pa.concat_tables([page_quads_batch(batch),
+                            quads_table(*zip(*rows))])
+    return skip_empty_literals_table(out), errors
+
+
+def test_kernel_matches_reference_row_path():
+    """``extract_quads_kernel`` (column lists, no main-text pass) gives
+    the reference row path's quads and contained-error count on the
+    frozen fixture plus a page whose unmapped robots value fails after
+    its title quad was appended."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from fcrepo3_rdf_extractor_ray.sources.pages import _page_html
+    from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_kernel
+
+    fixture = pq.read_table(os.path.join(GOLD, "pages_fixture.parquet"))
+    bad = _page_html(19, "bad robots page").replace(
+        b'content="noindex"', b'content="noindex, nofollow"')
+    extra = pa.table({
+        "url": ["https://ex.org/p/19"],
+        "warc_ts": pa.array([dt.datetime(2024, 1, 1)], pa.timestamp("us")),
+        "html": pa.array([bad], pa.binary()), "lang": ["en"]})
+    batch = pa.concat_tables([fixture.select(extra.schema.names), extra])
+    got, got_errors = extract_quads_kernel(batch)
+    want, want_errors = _reference_kernel(batch)
+    assert got.schema == want.schema
+    assert got_errors == want_errors == 2  # malformed doc 0, bad robots
+    key = lambda t: sorted(tuple(r.values()) for r in t.to_pylist())
+    assert key(got) == key(want)
+    # the failed page keeps only its four constant quads
+    assert got.filter(pc.equal(got["src_url"], "https://ex.org/p/19")
+                      ).num_rows == 4

@@ -71,137 +71,36 @@ def test_checkpoint_skip_is_idempotent(sf_dir, ckpt_dir):
     assert ds2.count() == n1
 
 
-def test_crash_between_entitymap_and_resolve(sf_dir, ckpt_dir):
-    """The SECOND crash boundary: the run dies right after the entity-map
-    checkpoint commits, before resolve. The resumed run must re-execute
-    NEITHER extraction waves NOR the linking phase (mtimes untouched)
-    and still produce the exact run_kg result."""
-    out = run_kg_resumable(sf_dir, ckpt_dir, wave_size=2,
-                           crash_after_entitymap=True)
-    assert out is None  # crashed at the boundary
-    em_manifest = os.path.join(ckpt_dir, "stage=entitymap", "_MANIFEST.json")
-    assert os.path.exists(em_manifest)  # ...but the map HAS committed
-    em_mtime = os.path.getmtime(em_manifest)
-    ex_root = os.path.join(ckpt_dir, "stage=extract")
-    wave_mtimes = {
-        g: os.path.getmtime(os.path.join(ex_root, g, "_MANIFEST.json"))
-        for g in os.listdir(ex_root) if g.startswith("group=")}
-    assert len(wave_mtimes) == 4
-
-    ds = run_kg_resumable(sf_dir, ckpt_dir, wave_size=2)
-    rows = ds.take_all()
-    want = run_kg(sf_dir).take_all()
-    key = lambda r: tuple(sorted(r.items()))
-    assert sorted(map(key, rows)) == sorted(map(key, want))
-    assert os.path.getmtime(em_manifest) == em_mtime
-    for g, mt in wave_mtimes.items():
-        assert os.path.getmtime(
-            os.path.join(ex_root, g, "_MANIFEST.json")) == mt
-
-
-# the keys checkpoint_quads has always written for the entity map: a
-# checkpoint from an older run must keep resuming
-ENTITYMAP_MANIFEST_KEYS = {"stage", "group", "wall_ms", "rows", "shards"}
-
-
-def _check_entitymap_checkpoint(ckpt_dir):
+def test_parent_entitymap_checkpoint_resumes(sf_dir, ckpt_dir):
+    """A checkpoint dir from a version that also committed a
+    ``stage=entitymap`` (norm, label) checkpoint after extraction: the
+    extract groups are the only resume boundary now, so a resume over it
+    reuses the committed waves, ignores the map and returns run_kg's
+    rows."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    d = os.path.join(ckpt_dir, "stage=entitymap")
-    man = json.load(open(os.path.join(d, "_MANIFEST.json")))
-    assert set(man) == ENTITYMAP_MANIFEST_KEYS
-    assert man["stage"] == "entitymap" and man["group"] is None
-    t = pq.read_table(d)
-    assert t.schema.names == ["norm", "label"]
-    assert t.schema.types == [pa.string(), pa.string()]
-    assert man["rows"] == t.num_rows > 0
-    assert sum(s["rows"] for s in man["shards"]) == t.num_rows
-
-
-def test_driver_written_entitymap_checkpoint_resumes(sf_dir, ckpt_dir,
-                                                     monkeypatch):
-    """On the driver-dict route the entity-map checkpoint is written by
-    the driver (no Ray write: ``checkpoint_quads`` made to raise), with
-    the (norm, label) schema and manifest keys of the Ray-written one; a
-    crash right after it resumes to run_kg's rows — and so does the same
-    map rewritten the old way, through a Ray write."""
-    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from fcrepo3_rdf_extractor_ray.state import lineage
+    from fcrepo3_rdf_extractor_ray.state.lineage import checkpoint_quads
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a dict map needs no Ray write")
+    assert run_kg_resumable(sf_dir, ckpt_dir, wave_size=2,
+                            max_waves=1) is None
+    # the older layout: a committed (norm, label) map — with a label no
+    # run produces, so a resume that read it would change the rows
+    norms = [f"entity{i}" for i in range(200)]
+    checkpoint_quads(rd.from_arrow(pa.table({
+        "norm": norms, "label": ["ent:stale"] * len(norms)})),
+        ckpt_dir, stage="entitymap")
+    ex_root = os.path.join(ckpt_dir, "stage=extract")
+    (g0,) = [g for g in os.listdir(ex_root) if g.startswith("group=")]
+    mtime = os.path.getmtime(os.path.join(ex_root, g0, "_MANIFEST.json"))
 
-    with monkeypatch.context() as m:
-        m.setattr(lineage, "checkpoint_quads", forbidden)
-        assert run_kg_resumable(sf_dir, ckpt_dir, wave_size=4,
-                                crash_after_entitymap=True) is None
-        _check_entitymap_checkpoint(ckpt_dir)
-        rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
+    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=2).take_all()
     want = run_kg(sf_dir).take_all()
     key = lambda r: tuple(sorted(r.items()))
     assert sorted(map(key, rows)) == sorted(map(key, want))
-
-    d = os.path.join(ckpt_dir, "stage=entitymap")
-    table = pq.read_table(d)
-    shutil.rmtree(d)
-    lineage.checkpoint_quads(rd.from_arrow(table), ckpt_dir,
-                             stage="entitymap")
-    _check_entitymap_checkpoint(ckpt_dir)
-    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
-    assert sorted(map(key, rows)) == sorted(map(key, want))
-
-
-def test_resume_above_threshold_matches_run_kg(sf_dir, ckpt_dir,
-                                               monkeypatch):
-    """With the norm threshold lowered to 0 the resumable run builds the
-    entity map on its Dataset route (actor-pool link, distributed
-    union-find), checkpoints it, crashes right after that checkpoint, and
-    resolves the read-back Dataset by join on resume. The result must
-    equal run_kg, which takes the driver-dict route at sf0.001."""
-    from fcrepo3_rdf_extractor_ray.pipelines import kg
-    from fcrepo3_rdf_extractor_ray.stages import canonicalize
-
-    calls = []
-    labels_ds = canonicalize.union_find_labels_ds
-    monkeypatch.setattr(canonicalize, "union_find_labels_ds",
-                        lambda edges: calls.append(1) or labels_ds(edges))
-    default = canonicalize.DRIVER_LINK_THRESHOLD
-    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", 0)
-
-    out = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4,
-                           crash_after_entitymap=True)
-    assert out is None
-    assert calls == [1]  # the distributed union-find built the map
-    _check_entitymap_checkpoint(ckpt_dir)
-    assert not isinstance(kg._read_entity_map(ckpt_dir), dict)
-    # the same checkpoint reads back as the driver dict at the default
-    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", default)
-    mapping = kg._read_entity_map(ckpt_dir)
-    assert isinstance(mapping, dict) and mapping
-    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", 0)
-
-    rows = run_kg_resumable(sf_dir, ckpt_dir, wave_size=4).take_all()
-    assert calls == [1]  # resume re-read the map instead of rebuilding
-    monkeypatch.setattr(canonicalize, "DRIVER_LINK_THRESHOLD", default)
-    want = run_kg(sf_dir).take_all()
-    key = lambda r: tuple(sorted(r.items()))
-    assert sorted(map(key, rows)) == sorted(map(key, want))
-
-
-def test_entitymap_checkpoint_reused(sf_dir, ckpt_dir):
-    """Mid-pipeline resume: the entity map commits as its own atomic
-    checkpoint; a re-invocation reuses it (same mtime) instead of
-    re-running the linking phase."""
-    run_kg_resumable(sf_dir, ckpt_dir, wave_size=8).count()
-    em_dir = os.path.join(ckpt_dir, "stage=entitymap")
-    manifest = os.path.join(em_dir, "_MANIFEST.json")
-    assert os.path.exists(manifest)
-    mtime = os.path.getmtime(manifest)
-    run_kg_resumable(sf_dir, ckpt_dir, wave_size=8).count()
-    assert os.path.getmtime(manifest) == mtime  # untouched on resume
+    assert not any("ent:stale" in (r["subj"], r["obj"]) for r in rows)
+    assert os.path.getmtime(os.path.join(ex_root, g0,
+                                         "_MANIFEST.json")) == mtime
 
 
 def test_resume_with_different_wave_size(sf_dir, ckpt_dir):

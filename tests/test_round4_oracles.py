@@ -555,8 +555,14 @@ def test_entity_cards_fusion_semantics(ray_session):
         "pred": ["p:x", "p:y", "p:y", "p:x"],
         "obj": ["ent:b", "ent:sk:mystery", "lit", "ent:a"],
         "obj_is_literal": [False, False, True, False]}))
+    from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
+
+    # one alias, alpha → ent:a; misses skolemize
+    alias = build_alias_table().slice(0, 1).set_column(
+        0, "surface", pa.array(["alpha"])).set_column(
+        1, "entity_id", pa.array(["ent:a"]))
     got = {r["entity"]: r for r in entity_cards(
-        facts, mentions, pages, {"alpha": "ent:a"}).take_all()}
+        facts, mentions, pages, alias).take_all()}
     a = got["ent:a"]
     # 3 mentions over 2 pages; ts span [1s, 2s]; out: p:x 1, p:y 2 ->
     # top p:y; in: one entity-valued (ent:b -> ent:a)
@@ -581,11 +587,6 @@ def test_entity_cards_fusion_semantics(ray_session):
             gh["last_us"]) == (1, 1, 0, 0)
     # literal objects never become cards
     assert "lit" not in got and len(got) == 4
-    # the (norm, label) Dataset that build_entity_map returns above its
-    # threshold gives the same cards as the dict
-    mapping_ds = rd.from_items([{"norm": "alpha", "label": "ent:a"}])
-    assert {r["entity"]: r for r in entity_cards(
-        facts, mentions, pages, mapping_ds).take_all()} == got
 
 
 def test_modularity_two_cliques(ray_session):

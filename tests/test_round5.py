@@ -66,67 +66,6 @@ def test_bfs_ds_min_hop_on_shortcut(ray_session, monkeypatch):
     assert out.to_dict() == {"s": 0, "x": 1, "y": 1}
 
 
-def _planted_quads():
-    from fcrepo3_rdf_extractor_ray.schema import quads_table
-    rows = [
-        ("g", "surf:entity7", "kg:worksWith", "surf:theentity7",
-         False, "", "u1"),
-        ("g", "surf:widget3", "kg:acquired", "surf:entity7",
-         False, "", "u2"),
-        ("g", "surf:acme", "kg:partnerOf", "surf:acmecorp",
-         False, "", "u3"),
-        ("g", "iri:s", "kg:basedIn", "lit", True, "", "u4"),
-    ] * 5
-    return quads_table(*zip(*rows))
-
-
-def test_entity_map_auto_routes_above_threshold(ray_session):
-    """Above the norm threshold, build_entity_map returns a mapping
-    DATASET (no take_all anywhere) and resolve_quads produces the same
-    quad set from it as from the driver dict (VERDICT r04 ask #8)."""
-    import ray.data as rd
-
-    from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map, resolve_quads)
-
-    ds = rd.from_arrow(_planted_quads()).repartition(3)
-    alias = build_alias_table()
-
-    mapping = build_entity_map(ds, alias)
-    assert isinstance(mapping, dict) and len(mapping) == 5
-    want = resolve_quads(ds, mapping).take_all()
-
-    # 5 distinct norms > threshold 2 -> the Dataset route
-    auto = build_entity_map(ds, alias, driver_link_threshold=2)
-    assert not isinstance(auto, dict)
-    got = resolve_quads(ds, auto).take_all()
-
-    key = lambda r: tuple(sorted(r.items()))
-    assert sorted(map(key, got)) == sorted(map(key, want))
-
-    # at/below threshold the dict route engages and matches too
-    auto_small = build_entity_map(ds, alias, driver_link_threshold=5)
-    assert auto_small == mapping
-
-
-def test_entity_map_dict_above_threshold_uses_distributed_uf(ray_session):
-    """build_entity_map's above-threshold branch routes linking +
-    union-find through the distributed path; its (norm, label) rows
-    match the driver union-find's dict."""
-    import ray.data as rd
-
-    from fcrepo3_rdf_extractor_ray.sources.pages import build_alias_table
-    from fcrepo3_rdf_extractor_ray.stages.canonicalize import (
-        build_entity_map)
-
-    ds = rd.from_arrow(_planted_quads()).repartition(3)
-    alias = build_alias_table()
-    want = build_entity_map(ds, alias)
-    got = build_entity_map(ds, alias, driver_link_threshold=2)
-    assert {r["norm"]: r["label"] for r in got.take_all()} == want
-
-
 def test_parse_boundary_fuzz(ray_session, sf_dir):
     """P4 hardening (VERDICT r04 ask #7): random byte mutations of real
     page html never escape the per-row containment boundary — the

@@ -77,3 +77,31 @@ def test_robots_state_total_mapping():
     assert robots_state("index") == "kg:Active"
     with pytest.raises(ValueError):
         robots_state("bogus")  # throws on unknown (RdfVocabulary.java:92-93)
+
+
+def test_main_text_is_derived_only_on_access(monkeypatch):
+    """The quads kernel never pays for the main-text pass: with the
+    text regex made to fail, extraction still runs without a contained
+    error, and ``text`` is derived (byte-identical) on first access."""
+    import datetime as dt
+
+    import pyarrow as pa
+
+    from fcrepo3_rdf_extractor_ray.functions import textextract
+    from fcrepo3_rdf_extractor_ray.stages.extract import extract_quads_kernel
+
+    class Exploding:
+        def findall(self, doc):
+            raise AssertionError("main text derived")
+
+    page = parse_page(HTML)
+    monkeypatch.setattr(textextract, "_RE_BARE_P", Exploding())
+    batch = pa.table({
+        "url": ["https://ex.org/p/1"],
+        "warc_ts": pa.array([dt.datetime(2024, 1, 1)], pa.timestamp("us")),
+        "html": pa.array([HTML], pa.binary()), "lang": ["en"]})
+    quads, errors = extract_quads_kernel(batch)
+    assert errors == 0 and "kg:title" in quads["pred"].to_pylist()
+    monkeypatch.undo()
+    assert page.text == "first para\nsecond <para>"
+    assert page.text is page.text  # computed once
