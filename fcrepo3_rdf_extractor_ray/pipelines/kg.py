@@ -53,7 +53,7 @@ from ray.data.datasource import Datasink
 from ..sources.pages import build_alias_table, read_pages, synthesize_pages
 from ..stages.canonicalize import resolve_quads
 from ..stages.dedup import dedup_quads
-from ..stages.exchange import exchange_parts, hash_exchange
+from ..stages.exchange import hash_exchange
 
 PAGE_COLUMNS = ["url", "warc_ts", "html", "lang"]  # `text` (golden) pruned
 
@@ -1060,8 +1060,7 @@ def encode_quads(quads_ds, dict_ds=None,
         batch_format="pyarrow")
     for col, out in (("graph", "g_id"), ("subj", "s_id"),
                      ("pred", "p_id"), ("obj", "o_id")):
-        ds = _attach_val(ds, vals, key_col=col, out_col=out,
-                         n_parts=exchange_parts())
+        ds = _attach_val(ds, vals, key_col=col, out_col=out)
 
     def finish(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1202,8 +1201,7 @@ def negative_samples(facts_ds, k: int = 4,
             lambda t: t.append_column("tid_s", t["tid"].cast(pa.string())),
             batch_format="pyarrow")
         resolved = _attach_val(keyed, vals, key_col="tid_s",
-                               out_col="neg_obj",
-                               n_parts=exchange_parts())
+                               out_col="neg_obj")
         resolved = resolved.map_batches(
             lambda t: t.select(["subj", "pred", "obj", "slot", "neg_obj"]),
             batch_format="pyarrow")

@@ -1474,8 +1474,7 @@ def winnowing_fingerprints(docs_ds, k: int = 3, w: int = 4,
 
 def winnowing_pairs(docs_ds, k: int = 3, w: int = 4,
                     min_shared: int = 2, max_df: int = 32,
-                    text_col="text", id_col="doc_id",
-                    n_parts: int | None = None):
+                    text_col="text", id_col="doc_id"):
     """Near-dup CANDIDATE PAIRS from shared winnowing fingerprints —
     the MOSS match step over `winnowing_fingerprints`' selections: doc
     pairs sharing at least ``min_shared`` distinct selected
@@ -1498,15 +1497,13 @@ def winnowing_pairs(docs_ds, k: int = 3, w: int = 4,
         batch_format="pyarrow")
     return wedge_pairs(flat, block_cols=["fp"], item_col="d",
                        min_count=min_shared, max_df=max_df,
-                       out_cols=("d1", "d2", "n_shared"),
-                       n_parts=n_parts)
+                       out_cols=("d1", "d2", "n_shared"))
 
 
 def winnowing_clusters(docs_ds, k: int = 3, w: int = 4,
                        min_shared: int = 2, max_df: int = 32,
                        max_driver_pairs: int = 500_000,
-                       text_col="text", id_col="doc_id",
-                       n_parts: int | None = None):
+                       text_col="text", id_col="doc_id"):
     """MOSS end-to-end: winnowing selection → shared-fingerprint pairs
     → connected components with the min-ID representative — the same
     pair-to-clusters contract as `minhash_clusters`, INCLUDING the
@@ -1516,7 +1513,7 @@ def winnowing_clusters(docs_ds, k: int = 3, w: int = 4,
     (doc_id, cluster_id) DataFrame, cluster_id = min member id."""
     raw = winnowing_pairs(docs_ds, k=k, w=w, min_shared=min_shared,
                           max_df=max_df, text_col=text_col,
-                          id_col=id_col, n_parts=n_parts)
+                          id_col=id_col)
     pairs = raw.map_batches(
         lambda t: pa.table({
             "doc_a": t["d1"], "doc_b": t["d2"],

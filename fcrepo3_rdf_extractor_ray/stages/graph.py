@@ -10,10 +10,10 @@ the families that used to repeat their own exchanges:
   (#nodes ≈ #entities scale, orders of magnitude below the corpus) is
   ``ray.put`` once per round and every edge task reads it zero-copy
   (``pc.index_in`` + take — a vectorized broadcast join), then one
-  combiner-bounded groupby sums contributions. One exchange per round;
-  the edge list never re-shuffles. Measured 6× faster than a hash-join
-  round at 500k edges (Ray 2.49's hash join costs ~14 s a round at that
-  size), so `pagerank` switches to its Dataset-native join rounds
+  combiner-bounded ``hash_exchange`` sums contributions. One exchange
+  per round; the edge list never re-shuffles. Measured 6× faster than a
+  hash-join round at 500k edges (Ray 2.49's hash join costs ~14 s a
+  round at that size), so `pagerank` switches to its Dataset-native join rounds
   (`_pagerank_join`, no driver-side rank table) only past
   ``PAGERANK_BROADCAST_MAX_NODES`` nodes — same arithmetic,
   bit-identical output (equivalence-tested).
@@ -22,6 +22,8 @@ the families that used to repeat their own exchanges:
   `clustering_coefficients`: per unordered node pair, the common
   neighbour count, the resource-allocation weight and the edge flag.
 
+Every key-local exchange goes through ``stages.exchange.hash_exchange``,
+which owns the partition count; no function takes a partition option.
 Routes that depend on input size read the module constants below at
 call time (set them, e.g. with ``monkeypatch``, to force a route); no
 function takes a per-call routing option.
@@ -40,6 +42,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..runtime import safe_join_partitions
+from .exchange import hash_exchange
 
 # Broadcast rank rounds while the node set fits a worker; `pagerank`
 # takes its join rounds above this.
@@ -51,30 +54,26 @@ BFS_DRIVER_MAX_EDGES = 200_000
 # and `hits_scores` run one exact single task up to this many edges.
 SMALL_GRAPH_EDGES = 200_000
 # `deterministic_walks` broadcasts the CSR adjacency up to this many
-# edges, and walks by co-partitioned exchange above it.
+# edges, and walks by hash exchange above it.
 WALKS_BROADCAST_MAX_EDGES = 2_000_000
 
 
-def _distinct(ds, cols: list[str], n_parts: int | None = None):
-    """Distinct rows via per-batch combiner → hash-partition → one
-    vectorized Arrow group_by per partition (never one Python call per
-    key)."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
-    from ..functions.hashing import fast_part_hash
+def _distinct(ds, cols: list[str]):
+    """Distinct rows via per-batch combiner → one hash exchange on
+    ``cols[0]`` → one vectorized Arrow group_by per partition (never one
+    Python call per key)."""
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.select(cols).group_by(cols).aggregate([])
 
-    def batch_distinct(t: pa.Table) -> pa.Table:
-        g = t.select(cols).group_by(cols).aggregate([])
-        return g.append_column(
-            "part", pa.array(fast_part_hash(g[cols[0]], n_parts)))
+    return hash_exchange(ds.map_batches(distinct, batch_format="pyarrow"),
+                         cols[0], distinct, batch_format="pyarrow")
 
-    def part_distinct(t: pa.Table) -> pa.Table:
-        g = t.group_by(["part"] + cols).aggregate([])
-        return g.rename_columns(["part"] + cols)
 
-    return (ds.map_batches(batch_distinct, batch_format="pyarrow")
-            .groupby("part").map_groups(part_distinct, batch_format="pyarrow")
-            .select_columns(cols))
+def _in_one_task(ds, fn, batch_format: str):
+    """Run ``fn`` once over every row of ``ds`` — the exact single-task
+    route of the small-graph paths (not a hash exchange)."""
+    return ds.repartition(1).map_batches(fn, batch_size=None,
+                                         batch_format=batch_format)
 
 
 def _prepare(edges_ds):
@@ -84,7 +83,7 @@ def _prepare(edges_ds):
     from ray.data.aggregate import Count
 
     edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
-    nodes = _node_set(edges)
+    nodes = _node_set(edges).materialize()
     n_join = safe_join_partitions(nodes.count())
     deg = edges.groupby("subj").aggregate(Count())
     deg = deg.map_batches(
@@ -97,31 +96,23 @@ def _prepare(edges_ds):
     return e3, nodes, n_join
 
 
-def _node_set(edges):
-    """Distinct (node) Dataset over both endpoints of (subj, obj)."""
+def _node_set(edges, a: str = "subj", b: str = "obj"):
+    """Distinct (node) Dataset over both endpoints of (a, b), lazy."""
     def both_ends(t: pa.Table) -> pa.Table:
         return pa.table({"node": pa.concat_arrays(
-            [c.combine_chunks() for c in (t["subj"], t["obj"])])})
+            [t[a].combine_chunks(), t[b].combine_chunks()])})
 
     return _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
-                     ["node"]).materialize()
+                     ["node"])
 
 
-def _rank_setup(nodes, n_parts: int):
-    """The driver-side node column and the per-node zero contributions
-    (partitioned once, reused every round) of a broadcast ranker: the
-    zeros keep nodes without in-edges in every round's output."""
-    zero_rows = nodes.map_batches(
-        lambda t: pa.table({
-            "node": t["node"],
-            "inc": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            "part": _part_of(t["node"], n_parts)}),
-        batch_format="pyarrow").materialize()
-    node_col = _collect_table(nodes, pa.schema([("node", pa.string())]))
-    return node_col["node"], zero_rows
+def _node_column(nodes) -> pa.ChunkedArray:
+    """A broadcast ranker's node set, collected to the driver (#nodes ≤
+    ``PAGERANK_BROADCAST_MAX_NODES``)."""
+    return _collect_table(nodes, pa.schema([("node", pa.string())]))["node"]
 
 
-def _rank_sums(edges, scores: pa.Table, zero_rows, n_parts: int,
+def _rank_sums(edges, scores: pa.Table, node_col,
                src: str = "subj", dst: str = "obj") -> pa.Table:
     """ONE BROADCAST RANK ROUND, shared by `pagerank`, `pagerank_weighted`,
     `trust_rank` and `hits_scores`: the per-node raw sums
@@ -129,13 +120,14 @@ def _rank_sums(edges, scores: pa.Table, zero_rows, n_parts: int,
         raw(v) = Σ_{u→v} (s(u) · num) // den
 
     over a ranker edge table (subj, obj, num, den), for every node of
-    ``zero_rows``. The (node, s) score table (#nodes scale, ≤
-    ``PAGERANK_BROADCAST_MAX_NODES``) ships ONCE via ``ray.put``; every
-    edge task reads it zero-copy (``pc.index_in`` + take — a vectorized
-    broadcast join) and pre-sums per batch; one part-hash exchange with
-    a vectorized per-partition sum; the (node, raw) table returns to the
-    driver. The edge table never re-shuffles. Per-edge floor division
-    keeps the sums order-independent integers."""
+    ``node_col`` (0 for a node without in-edges). The (node, s) score
+    table (#nodes scale, ≤ ``PAGERANK_BROADCAST_MAX_NODES``) ships ONCE
+    via ``ray.put``; every edge task reads it zero-copy (``pc.index_in``
+    + take — a vectorized broadcast join) and pre-sums per batch; one
+    node ``hash_exchange`` with a vectorized per-partition sum; the
+    (node, raw) table returns to the driver, which fills the nodes
+    nothing reached. The edge table never re-shuffles. Per-edge floor
+    division keeps the sums order-independent integers."""
     ref = ray.put(scores)
 
     def contrib(t: pa.Table) -> pa.Table:
@@ -143,21 +135,22 @@ def _rank_sums(edges, scores: pa.Table, zero_rows, n_parts: int,
         idx = pc.index_in(t[src], value_set=st["node"])
         inc = pc.divide(pc.multiply(pc.take(st["s"], idx), t["num"]),
                         t["den"])  # int64 floor division
-        g = (pa.table({"node": t[dst], "inc": inc})
-             .group_by("node").aggregate([("inc", "sum")])
-             .rename_columns(["node", "inc"]))
-        return g.append_column("part", _part_of(g["node"], n_parts))
+        return (pa.table({"node": t[dst], "inc": inc})
+                .group_by("node").aggregate([("inc", "sum")])
+                .rename_columns(["node", "inc"]))
 
     def psum(t: pa.Table) -> pa.Table:
         return (t.group_by("node").aggregate([("inc", "sum")])
                 .rename_columns(["node", "raw"]))
 
-    raw = (edges.map_batches(contrib, batch_format="pyarrow",
-                             batch_size=None)
-           .union(zero_rows)
-           .groupby("part").map_groups(psum, batch_format="pyarrow"))
-    return _collect_table(raw, pa.schema([("node", pa.string()),
-                                          ("raw", pa.int64())]))
+    raw = _collect_table(
+        hash_exchange(edges.map_batches(contrib, batch_format="pyarrow",
+                                        batch_size=None),
+                      "node", psum, batch_format="pyarrow"),
+        pa.schema([("node", pa.string()), ("raw", pa.int64())]))
+    got = pc.take(raw["raw"], pc.index_in(node_col, value_set=raw["node"]))
+    return pa.table({"node": node_col,
+                     "raw": pc.fill_null(got, pa.scalar(0, pa.int64()))})
 
 
 def _damped(raw: pa.Table, base, damping_pct: int) -> pa.Table:
@@ -169,7 +162,7 @@ def _damped(raw: pa.Table, base, damping_pct: int) -> pa.Table:
 
 
 def _pagerank_rounds(e3, nodes, iters: int, damping_pct: int,
-                     rank_scale: int, n_parts: int, seeds=None) -> pa.Table:
+                     rank_scale: int, seeds=None) -> pa.Table:
     """``iters`` broadcast PageRank rounds (`pagerank`,
     `pagerank_weighted`, `trust_rank`) over a ranker edge table:
     ``r0(v) = rank_scale·[v ∈ S]``, ``r'(v) = base·[v ∈ S] +
@@ -186,17 +179,17 @@ def _pagerank_rounds(e3, nodes, iters: int, damping_pct: int,
                           pa.scalar(amount, pa.int64()),
                           pa.scalar(0, pa.int64()))
 
-    node_col, zero_rows = _rank_setup(nodes, n_parts)
+    node_col = _node_column(nodes)
     base = (rank_scale * (100 - damping_pct)) // 100
     r = pa.table({"node": node_col, "s": teleport(node_col, rank_scale)})
     for _ in range(iters):
-        raw = _rank_sums(e3, r, zero_rows, n_parts)
+        raw = _rank_sums(e3, r, node_col)
         r = _damped(raw, teleport(raw["node"], base), damping_pct)
     return r
 
 
 def pagerank(edges_ds, iters: int = 5, damping_pct: int = 85,
-             rank_scale: int = 1_000_000, n_parts: int | None = None):
+             rank_scale: int = 1_000_000):
     """Integer PageRank over a (subj, obj) edge Dataset.
 
     Per iteration: ``r'(v) = base + (damping_pct · Σ_{u→v} r(u)//d(u)) // 100``
@@ -210,15 +203,13 @@ def pagerank(edges_ds, iters: int = 5, damping_pct: int = 85,
     """
     import ray.data as rd
 
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     e3, nodes, n_join = _prepare(edges_ds)
     if nodes.count() > PAGERANK_BROADCAST_MAX_NODES:
         ranks = _pagerank_join(e3, nodes, n_join, iters, damping_pct,
                                rank_scale)
     else:
         ranks = rd.from_arrow(_pagerank_rounds(
-            e3, nodes, iters, damping_pct, rank_scale, n_parts))
+            e3, nodes, iters, damping_pct, rank_scale))
     return ranks.map_batches(
         lambda t: t.rename_columns(["node", "rank_micro"]),
         batch_format="pyarrow")
@@ -242,12 +233,6 @@ def _collect_table(ds, schema: pa.Schema) -> pa.Table:
     if not tabs:
         return schema.empty_table()
     return pa.concat_tables(tabs).combine_chunks()
-
-
-def _part_of(col: pa.ChunkedArray, n_parts: int) -> pa.Array:
-    from ..functions.hashing import fast_part_hash
-
-    return pa.array(fast_part_hash(col, n_parts))
 
 
 def _pagerank_join(e3, nodes, n_join, iters, damping_pct, rank_scale):
@@ -326,7 +311,7 @@ def degree_distribution(edges_ds, node_col: str = "subj"):
 
 
 def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
-                     max_hops: int = 3, n_parts: int | None = None):
+                     max_hops: int = 3):
     """Bounded multi-hop BFS over the entity graph: every node reachable
     within ``max_hops`` edges from the seed set (subjects of
     ``seed_pred`` facts), labeled with its MINIMUM hop distance — the
@@ -348,10 +333,6 @@ def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
     the driver route returns pandas, the ds route a Dataset."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
-
     edges = facts_ds.map_batches(
         lambda t: pa.table({"a": t["subj"], "b": t["obj"]}),
         batch_format="pyarrow").materialize()
@@ -364,7 +345,7 @@ def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
         return _bfs_ds(edges,
                        facts_ds.map_batches(seed_partial,
                                             batch_format="pyarrow"),
-                       max_hops, n_parts)
+                       max_hops)
 
     seed_df = (facts_ds.map_batches(seed_partial, batch_format="pyarrow")
                .to_pandas())
@@ -393,76 +374,52 @@ def bfs_reachability(facts_ds, seed_pred: str = "kg:acquired",
                                           dtype="int64")})
 
 
-def _bfs_ds(edges, seeds_ds, max_hops: int, n_parts: int):
+def _bfs_ds(edges, seeds_ds, max_hops: int):
     """Dataset-native bounded BFS: frontier and visited set never touch
-    the driver. Per hop: (1) frontier rows tag-union onto the
-    subj-hash edge exchange; each partition expands its local frontier
-    members' out-edges to candidate nodes (distinct per partition);
-    (2) candidates anti-join the visited set on a node-hash exchange
-    (max-flag fold: a node seen with a visited row is dropped). Both
-    visited and frontier are repartitioned before each per-hop
-    materialize (bounded block counts in iterative loops)."""
-    from ..functions.hashing import fast_part_hash
-
-    seeds = _distinct(seeds_ds, ["node"], n_parts=n_parts)
-    visited = seeds.map_batches(
+    the driver. Per hop: (1) frontier rows tag-union onto the edges in
+    one source ``hash_exchange``; each partition expands its local
+    frontier members' out-edges to candidate nodes (distinct per
+    partition); (2) candidates anti-join the visited set in one node
+    ``hash_exchange`` (max-flag fold: a node seen with a visited row is
+    dropped)."""
+    visited = _distinct(seeds_ds, ["node"]).map_batches(
         lambda t: pa.table({
             "node": t["node"],
             "hops": pa.array(np.zeros(t.num_rows, np.int64))}),
-        batch_format="pyarrow").repartition(n_parts).materialize()
+        batch_format="pyarrow").materialize()
     frontier = visited
+    edge_rows = edges.map_batches(
+        lambda t: pa.table({"k": t["a"], "pay": t["b"]}),
+        batch_format="pyarrow").materialize()
 
-    def tag_edge(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "k": t["a"], "pay": t["b"],
-            "part": pa.array(fast_part_hash(t["a"], n_parts))})
+    def tag_fr(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t["node"],
+                         "pay": pa.nulls(t.num_rows, pa.string())})
 
-    edges_tagged = edges.map_batches(tag_edge,
-                                     batch_format="pyarrow").materialize()
+    def expand(t: pa.Table) -> pa.Table:
+        is_fr = pc.is_null(t["pay"])
+        fr = pc.unique(t.filter(is_fr)["k"])
+        e = t.filter(pc.invert(is_fr))
+        got = pc.unique(e.filter(pc.is_in(e["k"], value_set=fr))["pay"])
+        return pa.table({"node": got,
+                         "vis": pa.array(np.zeros(len(got), np.int8))})
+
+    def tag_vis(t: pa.Table) -> pa.Table:
+        return pa.table({"node": t["node"],
+                         "vis": pa.array(np.ones(t.num_rows, np.int8))})
+
+    def unseen(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("vis", "max")])
+        return pa.table(
+            {"node": g.filter(pc.equal(g["vis_max"], 0))["node"]})
 
     for hop in range(1, max_hops + 1):
-        def tag_fr(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "k": t["node"], "pay": pa.nulls(t.num_rows, pa.string()),
-                "part": pa.array(fast_part_hash(t["node"], n_parts))})
-
-        def expand(t: pa.Table) -> pa.Table:
-            is_fr = pc.is_null(t["pay"])
-            fr = pc.unique(t.filter(is_fr)["k"])
-            e = t.filter(pc.invert(is_fr))
-            got = pc.unique(e.filter(pc.is_in(e["k"],
-                                              value_set=fr))["pay"])
-            return pa.table({"node": got,
-                             "vis": pa.array(np.zeros(len(got),
-                                                      np.int8))})
-
-        cand = (edges_tagged
-                .union(frontier.map_batches(tag_fr,
-                                            batch_format="pyarrow"))
-                .groupby("part").map_groups(expand,
-                                            batch_format="pyarrow"))
-
-        def tag_vis(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": t["node"],
-                "vis": pa.array(np.ones(t.num_rows, np.int8))})
-
-        def unseen(t: pa.Table) -> pa.Table:
-            g = (t.select(["node", "vis"]).group_by("node")
-                 .aggregate([("vis", "max")]))
-            return pa.table(
-                {"node": g.filter(pc.equal(g["vis_max"], 0))["node"]})
-
-        def tag_node(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "part", pa.array(fast_part_hash(t["node"], n_parts)))
-
-        new = ((cand.union(visited.map_batches(tag_vis,
-                                               batch_format="pyarrow")))
-               .map_batches(tag_node, batch_format="pyarrow")
-               .groupby("part").map_groups(unseen,
-                                           batch_format="pyarrow")
-               .repartition(n_parts)).materialize()
+        cand = hash_exchange(
+            [edge_rows, frontier.map_batches(tag_fr, batch_format="pyarrow")],
+            "k", expand, batch_format="pyarrow")
+        new = hash_exchange(
+            [cand, visited.map_batches(tag_vis, batch_format="pyarrow")],
+            "node", unseen, batch_format="pyarrow").materialize()
         if new.count() == 0:
             break
         new_lab = new.map_batches(
@@ -470,16 +427,14 @@ def _bfs_ds(edges, seeds_ds, max_hops: int, n_parts: int):
                 "node": t["node"],
                 "hops": pa.array(np.full(t.num_rows, h, np.int64))}),
             batch_format="pyarrow")
-        visited = (visited.union(new_lab)
-                   .repartition(n_parts)).materialize()
+        visited = visited.union(new_lab).materialize()
         frontier = new_lab
 
     return visited
 
 
 def connected_components(edges_ds, a_col: str = "norm_a",
-                         b_col: str = "norm_b", n_parts: int | None = None,
-                         levels: int = 3):
+                         b_col: str = "norm_b", levels: int = 3):
     """CONNECTED COMPONENTS of an undirected graph — the clustering
     closure behind near-dup group labeling and entity-graph community
     seeding. Component label = the MINIMUM node id in the component.
@@ -488,7 +443,7 @@ def connected_components(edges_ds, a_col: str = "norm_a",
     contract-and-relabel scheme — cf. Kiveris et al., "Connected
     Components in MapReduce and Beyond", SoCC'14):
 
-    1. hash-partition the edges into ``n_parts`` groups; each group runs
+    1. hash-exchange the edges (one partition per CPU); each group runs
        a LOCAL union-find (int-rank parent array over factorized names —
        O(E·α) per task) and emits its (node → local min-root) star map;
     2. CONTRACT: group the star map by node; a node seen with k > 1
@@ -501,7 +456,7 @@ def connected_components(edges_ds, a_col: str = "norm_a",
        here), then labels RELABEL back down through the saved per-level
        star maps via co-partitioned tag-union merges (key = root).
 
-    Everything is lazy Datasets; total exchanges = ``levels`` groupbys
+    Everything is lazy Datasets; total exchanges = ``levels`` exchanges
     up + ``levels - 1`` merges down, independent of graph diameter (the
     old min-label-flooding path needed O(diameter) rounds of shuffles —
     53 s on a 30-node path; this runs the same graph in ~8 s).
@@ -510,23 +465,14 @@ def connected_components(edges_ds, a_col: str = "norm_a",
     final level funnels the twice-contracted boundary-edge set through
     one task — ~#cross-partition component links after two contractions,
     which for entity graphs is far below the corpus scale (same
-    #entities-bound as SURVEY.md §7.4). Raise ``levels`` / ``n_parts``
+    #entities-bound as SURVEY.md §7.4). Raise ``levels``
     if a pathological graph (giant matching spread across partitions)
     keeps the contracted set large."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
                          "b": pc.cast(t[b_col], pa.string())})
-
-    def _tag(col_vals, parts: int) -> pa.Array:
-        if parts == 1:
-            return pa.array(np.zeros(len(col_vals), np.int32))
-        return pa.array(fast_part_hash(col_vals, parts))
 
     def local_uf(df: pd.DataFrame) -> pd.DataFrame:
         """Union-find over one partition's edges → (node, root) for every
@@ -583,22 +529,9 @@ def connected_components(edges_ds, a_col: str = "norm_a",
         sout["kind"] = np.zeros(len(sout), dtype=np.int8)
         return pd.concat([sout, eout], ignore_index=True)
 
-    def uf_level(edge_ds, parts: int):
-        def tag_edges(t: pa.Table) -> pa.Table:
-            return t.append_column("part", _tag(t["a"], parts))
-
-        return (edge_ds.map_batches(tag_edges, batch_format="pyarrow")
-                .groupby("part").map_groups(local_uf,
-                                            batch_format="pandas"))
-
     def contract(star_ds):
-        def tag_nodes(t: pa.Table) -> pa.Table:
-            return t.append_column("part", _tag(t["node"], n_parts))
-
-        both = (star_ds.map_batches(tag_nodes, batch_format="pyarrow")
-                .groupby("part").map_groups(boundary,
-                                            batch_format="pandas")
-                .materialize())
+        both = hash_exchange(star_ds, "node", boundary,
+                             batch_format="pandas").materialize()
         stars = both.map_batches(
             lambda t: (t.filter(pc.equal(t["kind"], 0))
                        .select(["node", "root"])),
@@ -618,18 +551,12 @@ def connected_components(edges_ds, a_col: str = "norm_a",
         def tag_m(t: pa.Table) -> pa.Table:
             return pa.table({
                 "k": t["root"], "node": t["node"],
-                "lab": pa.nulls(t.num_rows, pa.string()),
-                "part": _tag(t["root"], n_parts)})
+                "lab": pa.nulls(t.num_rows, pa.string())})
 
         def tag_l(t: pa.Table) -> pa.Table:
             return pa.table({
                 "k": t["node"], "node": pa.nulls(t.num_rows, pa.string()),
-                "lab": t["root"],
-                "part": _tag(t["node"], n_parts)})
-
-        tagged = (star_ds.map_batches(tag_m, batch_format="pyarrow")
-                  .union(lab_ds.map_batches(tag_l,
-                                            batch_format="pyarrow")))
+                "lab": t["root"]})
 
         def merge(df: pd.DataFrame) -> pd.DataFrame:
             lab = (df.loc[df["lab"].notna(), ["k", "lab"]]
@@ -639,8 +566,10 @@ def connected_components(edges_ds, a_col: str = "norm_a",
             return pd.DataFrame({"node": rows["node"].to_numpy(),
                                  "root": got.to_numpy()})
 
-        return tagged.groupby("part").map_groups(merge,
-                                                 batch_format="pandas")
+        return hash_exchange(
+            [star_ds.map_batches(tag_m, batch_format="pyarrow"),
+             lab_ds.map_batches(tag_l, batch_format="pyarrow")],
+            "k", merge, batch_format="pandas")
 
     edges = edges_ds.map_batches(to_ab,
                                  batch_format="pyarrow").materialize()
@@ -648,19 +577,21 @@ def connected_components(edges_ds, a_col: str = "norm_a",
         # SMALL-GRAPH FAST PATH: below ~10 MB of edges the contraction
         # pipeline's 2·levels exchange latencies dominate; one exact
         # single-task union-find (the same final-level primitive) does
-        # the whole job in ONE exchange. Entity-scale graphs (alias
+        # the whole job in ONE task. Entity-scale graphs (alias
         # maps, per-corpus co-occurrence) all take this path; the
         # contraction path engages for web-scale edge lists.
-        return uf_level(edges, 1).map_batches(
+        return _in_one_task(edges, local_uf, "pandas").map_batches(
             lambda t: t.rename_columns(["node", "component"]),
             batch_format="pyarrow")
 
     star_maps = []
     for lvl in range(max(1, levels) - 1):
-        raw_stars = uf_level(edges, n_parts)
+        raw_stars = hash_exchange(edges, "a", local_uf,
+                                  batch_format="pandas")
         stars, edges = contract(raw_stars)  # stars: one row per node
         star_maps.append(stars)
-    labels = uf_level(edges, 1)  # exact: all surviving edges in one task
+    # exact: all surviving edges in one task
+    labels = _in_one_task(edges, local_uf, "pandas")
     for stars in reversed(star_maps):
         labels = relabel(stars, labels)
     # star maps are node-unique (deduped inside contract), so relabel
@@ -678,8 +609,7 @@ _PAIR_SUMS = [("n_common", "sum"), ("ra", "sum"), ("is_edge", "max"),
               ("deg_v", "sum"), ("deg_w", "sum")]
 
 
-def _pair_table(edges_ds, a_col: str, b_col: str, n_parts: int,
-                weight_scale: int = 0):
+def _pair_table(edges_ds, a_col: str, b_col: str, weight_scale: int = 0):
     """The NEIGHBOUR-PAIR TABLE behind the five wedge algorithms
     (`triangle_count`, `neighborhood_jaccard`, `two_hop_scores`,
     `resource_alloc_scores`, `clustering_coefficients`): one row per
@@ -696,13 +626,14 @@ def _pair_table(edges_ds, a_col: str, b_col: str, n_parts: int,
     pairs, and the consumers' identities (Σ_edges n_common = 3 ·
     triangles, n_tri(x) = ½ Σ_{x's edges} n_common) hold for them.
 
-    Shape: two exchanges. (1) The undirected adjacency hash-partitions
-    on the hub, so each hub's whole neighbour list co-locates: the hub
+    Shape: two ``hash_exchange`` passes. (1) The undirected adjacency
+    routes on the hub, so each hub's whole neighbour list co-locates: the hub
     dedups it, emits every neighbour pair as a wedge (``triu_indices``
     once per distinct degree, vectorized over the hubs of that degree)
     plus one edge row per neighbour carrying its own degree, and sums
-    the rows per pair inside the partition. (2) A pair-hash exchange
-    folds the partials with one Arrow group_by.
+    the rows per pair inside the partition. (2) An exchange on the
+    pair's first node ``v`` (it decides the pair's group) folds the
+    partials with one Arrow group_by.
 
     SKEW NOTE: a hub of degree d emits d(d−1)/2 wedges, so Σ d² over
     hubs bounds the traffic and one hot entity inflates one partition.
@@ -711,14 +642,11 @@ def _pair_table(edges_ds, a_col: str, b_col: str, n_parts: int,
     before this stage; on the test corpora the co-occurrence degree is
     bounded by mentions-per-page fan-in and needs neither (sf0.1: 331
     edges, max degree 11, 2,814 wedges)."""
-    from ..functions.hashing import fast_part_hash
-
     def undirect(t: pa.Table) -> pa.Table:
         a = pc.cast(t[a_col], pa.string()).combine_chunks()
         b = pc.cast(t[b_col], pa.string()).combine_chunks()
-        u = pa.concat_arrays([a, b])
-        return pa.table({"u": u, "x": pa.concat_arrays([b, a]),
-                         "part": pa.array(fast_part_hash(u, n_parts))})
+        return pa.table({"u": pa.concat_arrays([a, b]),
+                         "x": pa.concat_arrays([b, a])})
 
     def hub_pass(t: pa.Table) -> pa.Table:
         t = (t.group_by(["u", "x"]).aggregate([])
@@ -748,14 +676,12 @@ def _pair_table(edges_ds, a_col: str, b_col: str, n_parts: int,
             pa.array(np.ones(n, np.int64)),
             pc.if_else(low, hub_deg, ze), pc.if_else(low, ze, hub_deg)],
             schema=PAIR_SCHEMA)
-        g = _fold_pairs(pa.concat_tables([wedges, edges]))
-        key = pc.binary_join_element_wise(g["v"], g["w"], "\x1f")
-        return g.append_column("part", pa.array(fast_part_hash(key,
-                                                               n_parts)))
+        return _fold_pairs(pa.concat_tables([wedges, edges]))
 
-    return (edges_ds.map_batches(undirect, batch_format="pyarrow")
-            .groupby("part").map_groups(hub_pass, batch_format="pyarrow")
-            .groupby("part").map_groups(_fold_pairs, batch_format="pyarrow"))
+    hubs = hash_exchange(edges_ds.map_batches(undirect,
+                                              batch_format="pyarrow"),
+                         "u", hub_pass, batch_format="pyarrow")
+    return hash_exchange(hubs, "v", _fold_pairs, batch_format="pyarrow")
 
 
 def _fold_pairs(t: pa.Table) -> pa.Table:
@@ -772,19 +698,16 @@ def _open_rows(t: pa.Table) -> pa.Table:
     return t.filter(pc.equal(t["is_edge"], 0))
 
 
-def triangle_count(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b",
-                   n_parts: int | None = None):
+def triangle_count(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b"):
     """Global TRIANGLE COUNT over an oriented (a < b) undirected edge
     set — the standard graph-quality / community-density metric over the
     entity co-occurrence graph. Each triangle closes three edges, each
     of which counts its third corner as a common neighbour, so the count
     is Σ_edges n_common // 3 over `_pair_table`, summed by one scalar
     aggregate. Returns a 1-row pandas frame ``(n_triangles)``."""
-    from ..runtime import default_parts
     import pandas as pd
 
-    pairs = _pair_table(edges_ds, a_col, b_col,
-                        n_parts or default_parts(1.0))
+    pairs = _pair_table(edges_ds, a_col, b_col)
     total = pairs.map_batches(
         lambda t: pa.table({"n": [pc.sum(_edge_rows(t)["n_common"])
                                   .as_py() or 0]}),
@@ -794,7 +717,7 @@ def triangle_count(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b",
 
 
 def neighborhood_jaccard(edges_ds, a_col: str = "norm_a",
-                         b_col: str = "norm_b", n_parts: int | None = None):
+                         b_col: str = "norm_b"):
     """LINK-PREDICTION neighborhood overlap: for every existing edge
     (a, b), the number of common neighbors and the Jaccard similarity of
     the two endpoints' neighbor sets — the classic structural-relatedness
@@ -808,8 +731,6 @@ def neighborhood_jaccard(edges_ds, a_col: str = "norm_a",
     Shape: the edge rows of `_pair_table`, which already carry both
     endpoint degrees (zero common neighbours included) — no exchange
     beyond the kernel's two."""
-    from ..runtime import default_parts
-
     def finish(t: pa.Table) -> pa.Table:
         t = _edge_rows(t)
         cn = t["n_common"].to_numpy()
@@ -820,15 +741,14 @@ def neighborhood_jaccard(edges_ds, a_col: str = "norm_a",
                          "common_neighbors": t["n_common"],
                          "jaccard_micro": pa.array(jm)})
 
-    return _pair_table(edges_ds, a_col, b_col,
-                       n_parts or default_parts(1.0)).map_batches(
+    return _pair_table(edges_ds, a_col, b_col).map_batches(
         finish, batch_format="pyarrow")
 
 
 def pagerank_weighted(edges_ds, a_col: str = "norm_a",
                       b_col: str = "norm_b", weight_col: str = "n_pages",
                       iters: int = 5, damping_pct: int = 85,
-                      rank_scale: int = 1_000_000, n_parts: int | None = None):
+                      rank_scale: int = 1_000_000):
     """EDGE-WEIGHTED integer PageRank over an UNDIRECTED weighted edge
     Dataset (e.g. the co-occurrence graph, weight = co-mention count) —
     the relatedness-ranking variant: a neighbor reached through many
@@ -839,13 +759,9 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
     the distributed sum replays bit-exactly in the unrolled SQL oracle.
 
     Shape: the out-weight W attaches to the undirected edges once (one
-    co-partitioned tag-union merge keyed on the source); every round is
-    one `_rank_sums` broadcast round with num = w, den = W."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
+    source ``hash_exchange`` of a tag union); every round is one
+    `_rank_sums` broadcast round with num = w, den = W."""
     import ray.data as rd
-
-    from ..functions.hashing import fast_part_hash
 
     def undirect(t: pa.Table) -> pa.Table:
         a = pc.cast(t[a_col], pa.string())
@@ -862,26 +778,18 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
     und = (edges_ds.map_batches(undirect, batch_format="pyarrow")
            .materialize())
 
-    # out-weight per src, attached to the edges via one co-partitioned
-    # tag-union merge (key = src)
+    # out-weight partials per src (W set, dst/w null), tag-unioned with
+    # the edges (W null) on src
     def wdeg_partial(t: pa.Table) -> pa.Table:
         g = (pa.table({"src": t["src"], "W": t["w"]})
              .group_by("src").aggregate([("W", "sum")]))
-        g = g.rename_columns(["src", "W"])
-        return g.append_column("part",
-                               pa.array(fast_part_hash(g["src"], n_parts)))
+        return pa.table({"src": g["src"],
+                         "dst": pa.nulls(g.num_rows, pa.string()),
+                         "w": pa.nulls(g.num_rows, pa.int64()),
+                         "W": g["W_sum"]})
 
     def tag_edges(t: pa.Table) -> pa.Table:
-        cols = {"src": t["src"], "dst": t["dst"], "w": t["w"],
-                "W": pa.nulls(t.num_rows, pa.int64()),
-                "part": pa.array(fast_part_hash(t["src"], n_parts))}
-        return pa.table(cols)
-
-    def tag_wdeg(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["src"],
-                         "dst": pa.nulls(t.num_rows, pa.string()),
-                         "w": pa.nulls(t.num_rows, pa.int64()),
-                         "W": t["W"], "part": t["part"]})
+        return t.append_column("W", pa.nulls(t.num_rows, pa.int64()))
 
     def wdeg_final(t: pa.Table) -> pa.Table:
         mask = pc.is_valid(t["W"])
@@ -896,22 +804,20 @@ def pagerank_weighted(edges_ds, a_col: str = "norm_a",
                          "num": rows["w"],
                          "den": pc.take(lsum["W"].combine_chunks(), idx)})
 
-    e3 = (und.map_batches(tag_edges, batch_format="pyarrow")
-          .union(und.map_batches(wdeg_partial, batch_format="pyarrow")
-                 .map_batches(tag_wdeg, batch_format="pyarrow"))
-          .groupby("part").map_groups(wdeg_final, batch_format="pyarrow")
-          .materialize())
+    e3 = hash_exchange(
+        [und.map_batches(tag_edges, batch_format="pyarrow"),
+         und.map_batches(wdeg_partial, batch_format="pyarrow")],
+        "src", wdeg_final, batch_format="pyarrow").materialize()
 
     nodes = _distinct(und.map_batches(lambda t: pa.table({"node": t["src"]}),
                                       batch_format="pyarrow"),
                       ["node"]).materialize()
-    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale, n_parts)
+    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale)
     return rd.from_arrow(r.rename_columns(["node", "rank_micro"]))
 
 
 def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
-                b_col: str = "norm_b", max_rounds: int = 20,
-                n_parts: int | None = None):
+                b_col: str = "norm_b", max_rounds: int = 20):
     """k-CORE decomposition by BOUNDED SIMULTANEOUS PEEL: nodes of the
     maximal subgraph where every node keeps degree ≥ k, computed as
     ``max_rounds`` Jacobi peel iterations (each round computes ALL
@@ -925,16 +831,12 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
     at the fixpoint.
 
     Distributed shape per round: per-batch degree combiner over both
-    endpoint columns → ONE node-keyed exchange → the DROPPED node set
+    endpoint columns → ONE node ``hash_exchange`` → the DROPPED node set
     (bounded by that round's drops) broadcasts back to filter edges.
     Graphs at or below ``SMALL_GRAPH_EDGES`` short-circuit to one
     exact single-task peel — the same small-graph rule as
     ``connected_components``."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
@@ -968,33 +870,25 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
 
         return rd.from_arrow(pa.table({"node": pa.array([], pa.string())}))
     if n_edges <= SMALL_GRAPH_EDGES:
-        tagged = edges.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(np.zeros(t.num_rows, np.int32))),
-            batch_format="pyarrow")
-        return (tagged.groupby("part")
-                .map_groups(peel_local, batch_format="pandas"))
+        return _in_one_task(edges, peel_local, "pandas")
 
     # distributed bounded peel
     def deg_partial(t: pa.Table) -> pa.Table:
         nodes = pa.concat_arrays([t["a"].combine_chunks(),
                                   t["b"].combine_chunks()])
-        g = (pa.table({"node": nodes,
-                       "deg": pa.array(np.ones(len(nodes), np.int64))})
-             .group_by("node").aggregate([("deg", "sum")]))
-        g = g.rename_columns(["node", "deg"])
-        return g.append_column(
-            "part", pa.array(fast_part_hash(g["node"], n_parts)))
+        return (pa.table({"node": nodes,
+                          "deg": pa.array(np.ones(len(nodes), np.int64))})
+                .group_by("node").aggregate([("deg", "sum")])
+                .rename_columns(["node", "deg"]))
 
-    def deg_final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)["deg"].sum()
-        return g[g["deg"] < k][["node"]]  # the DROPPED set only
+    def dropped_nodes(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("deg", "sum")])
+        return g.filter(pc.less(g["deg_sum"], k)).select(["node"])
 
     for _ in range(max_rounds):
-        dropped_ds = (edges.map_batches(deg_partial,
-                                        batch_format="pyarrow")
-                      .groupby("part").map_groups(deg_final,
-                                                  batch_format="pandas"))
+        dropped_ds = hash_exchange(
+            edges.map_batches(deg_partial, batch_format="pyarrow"), "node",
+            dropped_nodes, batch_format="pyarrow")
         dropped = _collect_table(
             dropped_ds, pa.schema([("node", pa.string())]))["node"]
         if not len(dropped):
@@ -1011,41 +905,22 @@ def kcore_nodes(edges_ds, k: int = 3, a_col: str = "norm_a",
         edges = edges.map_batches(drop_edges,
                                   batch_format="pyarrow").materialize()
 
-    def node_rows(t: pa.Table) -> pa.Table:
-        nodes = pa.concat_arrays([t["a"].combine_chunks(),
-                                  t["b"].combine_chunks()])
-        g = pa.table({"node": nodes}).group_by("node").aggregate([])
-        g = g.rename_columns(["node"])
-        return g.append_column(
-            "part", pa.array(fast_part_hash(g["node"], n_parts)))
-
-    def node_distinct(df: pd.DataFrame) -> pa.Table:
-        out = df.drop_duplicates("node")["node"]
-        return pa.table({"node": pa.array(
-            out.to_numpy(dtype=object), pa.string())})
-
-    return (edges.map_batches(node_rows, batch_format="pyarrow")
-            .groupby("part").map_groups(node_distinct,
-                                        batch_format="pandas"))
+    return _node_set(edges, "a", "b")
 
 
-def two_hop_scores(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b",
-                   n_parts: int | None = None):
+def two_hop_scores(edges_ds, a_col: str = "norm_a", b_col: str = "norm_b"):
     """LINK-PREDICTION candidate generation: every NON-adjacent node
     pair with ≥1 common neighbor, scored by common-neighbor count over
     the undirected graph — the 2-hop complement of
     ``neighborhood_jaccard`` (which scores EXISTING edges): the non-edge
     rows of `_pair_table`. Returns (norm_a, norm_b, n_common) with
     norm_a < norm_b."""
-    from ..runtime import default_parts
-
     def finish(t: pa.Table) -> pa.Table:
         t = _open_rows(t)
         return pa.table({"norm_a": t["v"], "norm_b": t["w"],
                          "n_common": t["n_common"]})
 
-    return _pair_table(edges_ds, a_col, b_col,
-                       n_parts or default_parts(1.0)).map_batches(
+    return _pair_table(edges_ds, a_col, b_col).map_batches(
         finish, batch_format="pyarrow")
 
 
@@ -1111,12 +986,12 @@ def _tarjan_scc(df) -> "pd.DataFrame":
     return pd.DataFrame({"node": keys, "scc_id": [comp[k] for k in keys]})
 
 
-def _directed_fixpoint(adj, labels0, n_parts: int, reduce: str = "min",
-                       local_rounds: int = 64):
+def _directed_fixpoint(edges, labels0, reduce: str = "min",
+                       backward: bool = False, local_rounds: int = 64):
     """Run a directed message-passing fixpoint: each exchange sends
-    every node's value along its out-edges (``adj`` rows (m, n, part)
-    pre-partitioned by m ONCE) and folds incoming values into the
-    current one with ``reduce`` (min or max — MONOTONE folds only).
+    every node's value along the (a, b) ``edges`` (b → a when
+    ``backward``) and folds incoming values into the current one with
+    ``reduce`` (min or max — MONOTONE folds only).
 
     Inside each send partition the propagation runs a LOCAL multi-hop
     fixpoint over that partition's edges first (monotonicity makes
@@ -1125,17 +1000,19 @@ def _directed_fixpoint(adj, labels0, n_parts: int, reduce: str = "min",
     exchanges is the cross-partition hop count of the longest
     propagation path, not the graph diameter. Convergence is detected
     with one sum over the labels-sized Dataset per exchange. Returns
-    the converged (node, val) Dataset (an extra ``chg`` column may be
-    present; callers should select (node, val))."""
+    the converged (node, val) Dataset."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
+    m, n = ("b", "a") if backward else ("a", "b")
+    adj = edges.map_batches(
+        lambda t: pa.table({"m": t[m], "n": t[n],
+                            "val": pa.nulls(t.num_rows, pa.string())}),
+        batch_format="pyarrow").materialize()
 
     def tag_label_for_send(t: pa.Table) -> pa.Table:
         return pa.table({
             "m": t["node"], "n": pa.nulls(t.num_rows, pa.string()),
-            "val": t["val"],
-            "part": pa.array(fast_part_hash(t["node"], n_parts))})
+            "val": t["val"]})
 
     def send(df: pd.DataFrame) -> pd.DataFrame:
         lbl = df.loc[df["val"].notna(), ["m", "val"]].drop_duplicates("m")
@@ -1166,14 +1043,12 @@ def _directed_fixpoint(adj, labels0, n_parts: int, reduce: str = "min",
     def tag_msg(t: pa.Table) -> pa.Table:
         return pa.table({
             "node": t["n"], "val": t["val"],
-            "is_cur": pa.array(np.zeros(t.num_rows, np.int8)),
-            "part": pa.array(fast_part_hash(t["n"], n_parts))})
+            "is_cur": pa.array(np.zeros(t.num_rows, np.int8))})
 
     def tag_cur(t: pa.Table) -> pa.Table:
         return pa.table({
             "node": t["node"], "val": t["val"],
-            "is_cur": pa.array(np.ones(t.num_rows, np.int8)),
-            "part": pa.array(fast_part_hash(t["node"], n_parts))})
+            "is_cur": pa.array(np.ones(t.num_rows, np.int8))})
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         cur = df[df["is_cur"] == 1].set_index("node")["val"]
@@ -1186,38 +1061,27 @@ def _directed_fixpoint(adj, labels0, n_parts: int, reduce: str = "min",
 
     labels = labels0.materialize()
     while True:
-        msgs = (labels.map_batches(tag_label_for_send,
-                                   batch_format="pyarrow")
-                .union(adj)
-                .groupby("part").map_groups(send, batch_format="pandas"))
-        # repartition BEFORE materialize: sort-shuffle output block
-        # count tracks input block count, so an iterative union+groupby
-        # loop explodes blocks (and per-exchange latency) without a
-        # bounded coalesce here
-        merged = (msgs.map_batches(tag_msg, batch_format="pyarrow")
-                  .union(labels.map_batches(tag_cur,
-                                            batch_format="pyarrow"))
-                  .groupby("part").map_groups(merge,
-                                              batch_format="pandas")
-                  .repartition(n_parts)).materialize()
-        n_chg = merged.sum("chg") or 0
-        labels = merged
-        if n_chg == 0:
+        msgs = hash_exchange(
+            [labels.map_batches(tag_label_for_send, batch_format="pyarrow"),
+             adj], "m", send, batch_format="pandas")
+        labels = hash_exchange(
+            [msgs.map_batches(tag_msg, batch_format="pyarrow"),
+             labels.map_batches(tag_cur, batch_format="pyarrow")],
+            "node", merge, batch_format="pandas").materialize()
+        if (labels.sum("chg") or 0) == 0:
             return labels.map_batches(
                 lambda t: t.select(["node", "val"]),
                 batch_format="pyarrow")
 
 
-def _attach_val(edges, vals, key_col: str, out_col: str, n_parts: int):
+def _attach_val(edges, vals, key_col: str, out_col: str):
     """Attach ``vals`` (node, val) onto ``edges`` rows by
-    ``edges[key_col]`` — the broadcast-free merge: both sides hash to
-    the same partition, one exchange, vectorized map inside."""
+    ``edges[key_col]`` — the broadcast-free merge: both sides meet in
+    one ``hash_exchange`` on the key, vectorized map inside."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-
     schema = edges.schema()
-    edge_cols = [c for c in schema.names if c != "part"]
+    edge_cols = list(schema.names)
     base = getattr(schema, "base_schema", None)
     arrow_base = base if isinstance(base, pa.Schema) else None
     edge_types = {c: (arrow_base.field(c).type if arrow_base is not None
@@ -1226,9 +1090,7 @@ def _attach_val(edges, vals, key_col: str, out_col: str, n_parts: int):
 
     def tag_edge(t: pa.Table) -> pa.Table:
         t = t.select(edge_cols)
-        out = t.append_column("__v", pa.nulls(t.num_rows, pa.string()))
-        return out.append_column(
-            "part", pa.array(fast_part_hash(t[key_col], n_parts)))
+        return t.append_column("__v", pa.nulls(t.num_rows, pa.string()))
 
     def tag_val(t: pa.Table) -> pa.Table:
         # null filler columns must carry the EDGE side's types, or the
@@ -1237,9 +1099,7 @@ def _attach_val(edges, vals, key_col: str, out_col: str, n_parts: int):
                             or pa.string()) for c in edge_cols}
         cols[key_col] = t["node"]
         cols["__v"] = t["val"]
-        out = pa.table(cols)
-        return out.append_column(
-            "part", pa.array(fast_part_hash(t["node"], n_parts)))
+        return pa.table(cols)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         vmap = (df.loc[df["__v"].notna(), [key_col, "__v"]]
@@ -1248,13 +1108,14 @@ def _attach_val(edges, vals, key_col: str, out_col: str, n_parts: int):
         rows[out_col] = rows[key_col].map(vmap).to_numpy()
         return rows
 
-    return (edges.map_batches(tag_edge, batch_format="pyarrow")
-            .union(vals.map_batches(tag_val, batch_format="pyarrow"))
-            .groupby("part").map_groups(merge, batch_format="pandas"))
+    return hash_exchange(
+        [edges.map_batches(tag_edge, batch_format="pyarrow"),
+         vals.map_batches(tag_val, batch_format="pyarrow")],
+        key_col, merge, batch_format="pandas")
 
 
 def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
-               max_rounds: int = 30, n_parts: int | None = None):
+               max_rounds: int = 30):
     """STRONGLY CONNECTED COMPONENTS of a directed edge Dataset, by
     forward-backward coloring (Orzan-style FB decomposition, the
     standard Pregel-model SCC): per round (1) a TRIM fixpoint peels
@@ -1290,29 +1151,15 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     incident to an edge; isolated original nodes are their own
     singleton SCCs by construction."""
     import ray.data as rd
-
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
                          "b": pc.cast(t[b_col], pa.string())})
 
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
-
-    def node_rows(t: pa.Table) -> pa.Table:
-        ns = pa.concat_arrays([t["a"].combine_chunks(),
-                               t["b"].combine_chunks()])
-        g = pa.table({"node": ns}).group_by("node").aggregate([])
-        return g.rename_columns(["node"])
-
-    nodes0 = _distinct(edges.map_batches(node_rows,
-                                         batch_format="pyarrow"),
-                       ["node"], n_parts=n_parts).materialize()
+                      ["a", "b"]).materialize()
+    nodes0 = _node_set(edges, "a", "b").materialize()
 
     import os
     dbg = os.environ.get("GRAFT_SCC_DEBUG")
@@ -1346,8 +1193,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
             # same-SCC is transitive: glue the per-partition star maps
             # with an undirected components closure (min-id labels)
             reps = connected_components(
-                pairs, a_col="node", b_col="root",
-                n_parts=n_parts).materialize()
+                pairs, a_col="node", b_col="root").materialize()
             member_map = reps.map_batches(
                 lambda t: pa.table({
                     "node": t.filter(pc.not_equal(
@@ -1359,8 +1205,8 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
                 lambda t: pa.table({"node": t["node"],
                                     "val": t["component"]}),
                 batch_format="pyarrow")
-            e2 = _attach_val(edges, rep_vals, "a", "ra", n_parts)
-            e2 = _attach_val(e2, rep_vals, "b", "rb", n_parts)
+            e2 = _attach_val(edges, rep_vals, "a", "ra")
+            e2 = _attach_val(e2, rep_vals, "b", "rb")
 
             def contract(t: pa.Table) -> pa.Table:
                 # rep map is SPARSE: a partition where no edge endpoint
@@ -1375,7 +1221,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
 
             edges = _distinct(
                 e2.map_batches(contract, batch_format="pyarrow"),
-                ["a", "b"], n_parts=n_parts).materialize()
+                ["a", "b"]).materialize()
             if dbg:
                 import sys
                 print(f"[scc] condensed to {edges.count()} edges",
@@ -1384,6 +1230,26 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     empty = pa.table({"node": pa.array([], pa.string()),
                       "scc_id": pa.array([], pa.string())})
     out = rd.from_arrow(empty)
+
+    def end_partial(t: pa.Table) -> pa.Table:
+        ns = pa.concat_arrays([t["a"].combine_chunks(),
+                               t["b"].combine_chunks()])
+        n_a = t.num_rows
+        ho = np.zeros(len(ns), np.int8)
+        ho[:n_a] = 1
+        hi = np.zeros(len(ns), np.int8)
+        hi[n_a:] = 1
+        return (pa.table({"node": ns, "ho": pa.array(ho),
+                          "hi": pa.array(hi)})
+                .group_by("node").aggregate([("ho", "max"), ("hi", "max")])
+                .rename_columns(["node", "ho", "hi"]))
+
+    def end_final(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("node", as_index=False)[["ho", "hi"]].max()
+        return pd.DataFrame({
+            "node": g["node"].to_numpy(),
+            "val": np.where((g["ho"] > 0) & (g["hi"] > 0),
+                            "1", "0")})
 
     for rnd in range(max_rounds):
         n_edges = edges.count()
@@ -1394,50 +1260,16 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
         if n_edges == 0:
             break
         if n_edges <= SMALL_GRAPH_EDGES:
-            tagged = edges.map_batches(
-                lambda t: t.append_column(
-                    "part", pa.array(np.zeros(t.num_rows, np.int32))),
-                batch_format="pyarrow")
-            local = tagged.groupby("part").map_groups(
-                _tarjan_scc, batch_format="pandas")
-            out = out.union(local)
-            edges = rd.from_arrow(
-                pa.table({"a": pa.array([], pa.string()),
-                          "b": pa.array([], pa.string())}))
+            out = out.union(_in_one_task(edges, _tarjan_scc, "pandas"))
             break
 
         # (1) TRIM: peel no-in/no-out nodes (singleton SCCs) to a
         # fixpoint — alive flags attached per endpoint, no broadcast
-        def end_partial(t: pa.Table) -> pa.Table:
-            ns = pa.concat_arrays([t["a"].combine_chunks(),
-                                   t["b"].combine_chunks()])
-            n_a = t.num_rows
-            ho = np.zeros(len(ns), np.int8)
-            ho[:n_a] = 1
-            hi = np.zeros(len(ns), np.int8)
-            hi[n_a:] = 1
-            g = (pa.table({"node": ns, "ho": pa.array(ho),
-                           "hi": pa.array(hi)})
-                 .group_by("node").aggregate([("ho", "max"),
-                                              ("hi", "max")]))
-            g = g.rename_columns(["node", "ho", "hi"])
-            return g.append_column(
-                "part", pa.array(fast_part_hash(g["node"], n_parts)))
-
-        def end_final(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("node", as_index=False)[["ho", "hi"]].max()
-            return pd.DataFrame({
-                "node": g["node"].to_numpy(),
-                "val": np.where((g["ho"] > 0) & (g["hi"] > 0),
-                                "1", "0")})
-
         trimmed = False
         for _t in range(max_rounds):
-            flags = (edges.map_batches(end_partial,
-                                       batch_format="pyarrow")
-                     .groupby("part").map_groups(end_final,
-                                                 batch_format="pandas")
-                     .repartition(n_parts)).materialize()
+            flags = hash_exchange(
+                edges.map_batches(end_partial, batch_format="pyarrow"),
+                "node", end_final, batch_format="pandas").materialize()
             dead = flags.map_batches(
                 lambda t: pa.table({
                     "node": t.filter(pc.equal(t["val"], "0"))["node"],
@@ -1452,56 +1284,37 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
                 break
             trimmed = True
             out = out.union(dead)
-            ef = _attach_val(edges, flags, "a", "fa", n_parts)
-            ef = _attach_val(ef, flags, "b", "fb", n_parts)
+            ef = _attach_val(edges, flags, "a", "fa")
+            ef = _attach_val(ef, flags, "b", "fb")
             edges = ef.map_batches(
                 lambda t: t.filter(pc.and_(pc.equal(t["fa"], "1"),
                                            pc.equal(t["fb"], "1")))
                            .select(["a", "b"]),
-                batch_format="pyarrow").repartition(n_parts).materialize()
+                batch_format="pyarrow").materialize()
             if edges.count() == 0:
                 break
         if trimmed:
             continue  # recount: the remainder may now short-circuit
 
         # (2) forward colors: min over ancestors-and-self
-        def fwd_adj(t: pa.Table) -> pa.Table:
-            out_t = pa.table({
-                "m": t["a"], "n": t["b"],
-                "val": pa.nulls(t.num_rows, pa.string())})
-            return out_t.append_column(
-                "part", pa.array(fast_part_hash(out_t["m"], n_parts)))
-
-        cur_nodes = _distinct(edges.map_batches(node_rows,
-                                                batch_format="pyarrow"),
-                              ["node"], n_parts=n_parts).materialize()
-        init = cur_nodes.map_batches(
+        init = _node_set(edges, "a", "b").map_batches(
             lambda t: pa.table({"node": t["node"], "val": t["node"]}),
             batch_format="pyarrow")
-        adj = edges.map_batches(fwd_adj,
-                                batch_format="pyarrow").materialize()
-        colors = _directed_fixpoint(adj, init, n_parts, reduce="min")
+        colors = _directed_fixpoint(edges, init, reduce="min")
         if dbg:
             import sys
             print("[scc]  colors done", file=sys.stderr, flush=True)
 
         # (3) same-color edges; backward mark from the color roots
-        ec = _attach_val(edges, colors, "a", "ca", n_parts)
-        ec = _attach_val(ec, colors, "b", "cb", n_parts)
+        ec = _attach_val(edges, colors, "a", "ca")
+        ec = _attach_val(ec, colors, "b", "cb")
         ecc = ec.map_batches(
             lambda t: t.filter(pc.equal(t["ca"], t["cb"])),
-            batch_format="pyarrow").repartition(n_parts).materialize()
+            batch_format="pyarrow").materialize()
         if dbg:
             import sys
             print(f"[scc]  ecc done: {ecc.count()} edges",
                   file=sys.stderr, flush=True)
-
-        def bwd_adj(t: pa.Table) -> pa.Table:
-            out_t = pa.table({
-                "m": t["b"], "n": t["a"],
-                "val": pa.nulls(t.num_rows, pa.string())})
-            return out_t.append_column(
-                "part", pa.array(fast_part_hash(out_t["m"], n_parts)))
 
         mark0 = colors.map_batches(
             lambda t: pa.table({
@@ -1510,12 +1323,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
                                   pa.array(["1"] * t.num_rows),
                                   pa.array(["0"] * t.num_rows))}),
             batch_format="pyarrow")
-        radj = ecc.map_batches(bwd_adj,
-                               batch_format="pyarrow").materialize()
-        if dbg:
-            import sys
-            print("[scc]  radj done", file=sys.stderr, flush=True)
-        marks = _directed_fixpoint(radj, mark0, n_parts, reduce="max")
+        marks = _directed_fixpoint(ecc, mark0, reduce="max", backward=True)
         if dbg:
             import sys
             print("[scc]  marks done", file=sys.stderr, flush=True)
@@ -1525,7 +1333,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
             colors.map_batches(
                 lambda t: pa.table({"node": t["node"], "color": t["val"]}),
                 batch_format="pyarrow"),
-            marks, "node", "mk", n_parts)
+            marks, "node", "mk")
         emitted = with_mark.map_batches(
             lambda t: pa.table({
                 "node": t.filter(pc.equal(t["mk"], "1"))["node"],
@@ -1535,13 +1343,13 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
 
         em = _attach_val(ecc.map_batches(
             lambda t: t.select(["a", "b"]), batch_format="pyarrow"),
-            marks, "a", "ma", n_parts)
-        em = _attach_val(em, marks, "b", "mb", n_parts)
+            marks, "a", "ma")
+        em = _attach_val(em, marks, "b", "mb")
         edges = em.map_batches(
             lambda t: t.filter(pc.and_(pc.equal(t["ma"], "0"),
                                        pc.equal(t["mb"], "0")))
                        .select(["a", "b"]),
-            batch_format="pyarrow").repartition(n_parts).materialize()
+            batch_format="pyarrow").materialize()
 
     # expand condensation: each condensed-away member takes its
     # supernode rep's label; a rep the loop never labeled (its whole
@@ -1550,19 +1358,17 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
     if member_map is not None and member_map.count() > 0:
         # Arrow-native tag-union attach (not the pandas _attach_val:
         # its empty-partition merges emit schema-less pandas blocks
-        # that poison the downstream groupby — the modularity_profile
+        # that poison the downstream exchange — the modularity_profile
         # lesson). Key = rep; fallback label = the rep itself.
         def tag_mm(t: pa.Table) -> pa.Table:
             return pa.table({
                 "k": t["rep"], "node": t["node"],
-                "lab": pa.nulls(t.num_rows, pa.string()),
-                "part": pa.array(fast_part_hash(t["rep"], n_parts))})
+                "lab": pa.nulls(t.num_rows, pa.string())})
 
         def tag_lab(t: pa.Table) -> pa.Table:
             return pa.table({
                 "k": t["node"], "node": pa.nulls(t.num_rows, pa.string()),
-                "lab": t["scc_id"],
-                "part": pa.array(fast_part_hash(t["node"], n_parts))})
+                "lab": t["scc_id"]})
 
         def expand(t: pa.Table) -> pa.Table:
             lab_mask = pc.is_valid(t["lab"])
@@ -1574,12 +1380,10 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
             return pa.table({"node": rows["node"],
                              "scc_id": pc.coalesce(got, rows["k"])})
 
-        member_out = (member_map.map_batches(tag_mm,
-                                             batch_format="pyarrow")
-                      .union(out.map_batches(tag_lab,
-                                             batch_format="pyarrow"))
-                      .groupby("part").map_groups(
-                          expand, batch_format="pyarrow"))
+        member_out = hash_exchange(
+            [member_map.map_batches(tag_mm, batch_format="pyarrow"),
+             out.map_batches(tag_lab, batch_format="pyarrow")],
+            "k", expand, batch_format="pyarrow")
         out = out.union(member_out)
 
     # singletons: original nodes never emitted (their edges were
@@ -1593,22 +1397,16 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
         uniq = pa.array(pd.unique(missing).astype(object), pa.string())
         return pa.table({"node": uniq, "scc_id": uniq})
 
-    def tag_out(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["node"], n_parts)))
-
     node_side = nodes0.map_batches(
         lambda t: pa.table({"node": t["node"],
                             "scc_id": pa.nulls(t.num_rows, pa.string())}),
         batch_format="pyarrow")
-    singles_ds = (out.union(node_side)
-                  .map_batches(tag_out, batch_format="pyarrow")
-                  .groupby("part").map_groups(singles,
-                                              batch_format="pandas"))
+    singles_ds = hash_exchange([out, node_side], "node", singles,
+                               batch_format="pandas")
 
     def to_out(t: pa.Table) -> pa.Table:
         # normalize EVERY block to typed Arrow: the union mixes arrow
-        # blocks with pandas map_groups blocks (including schema-less
+        # blocks with pandas finisher blocks (including schema-less
         # empties), and a downstream sort/groupby asserts on mixed
         # block types (Ray 2.49 delegating_block_builder)
         if t.num_rows == 0 or "node" not in t.schema.names:
@@ -1621,8 +1419,7 @@ def scc_labels(edges_ds, a_col: str = "subj", b_col: str = "obj",
                                              batch_format="pyarrow")
 
 
-def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
-                   n_parts: int | None = None):
+def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj"):
     """BOW-TIE DECOMPOSITION of a directed graph (Broder et al. 2000,
     the canonical web-graph macro-structure): CORE = the largest SCC
     (ties → min scc_id), IN = nodes that reach the core but are not in
@@ -1633,20 +1430,14 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
     fixpoints over the full edge set (backward for IN, forward for
     OUT, seeds = core members) → one attach pass per flag. Returns
     (node, region)."""
-    import ray.data as rd
-
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(0.5)
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
                          "b": pc.cast(t[b_col], pa.string())})
 
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
+                      ["a", "b"]).materialize()
 
     if edges.count() <= SMALL_GRAPH_EDGES:
         # single exact task: Tarjan + BFS both ways from the core
@@ -1683,15 +1474,9 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
             return pd.DataFrame({"node": comp["node"],
                                  "region": region})
 
-        tagged = edges.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(np.zeros(t.num_rows, np.int32))),
-            batch_format="pyarrow")
-        return tagged.groupby("part").map_groups(local,
-                                                 batch_format="pandas")
+        return _in_one_task(edges, local, "pandas")
 
-    sccs = scc_labels(edges, a_col="a", b_col="b",
-                      n_parts=n_parts).materialize()
+    sccs = scc_labels(edges, a_col="a", b_col="b").materialize()
 
     # core = largest SCC, ties -> min scc_id; per-block partial top-1
     # keeps driver data bounded
@@ -1721,28 +1506,12 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
                               pa.array(["0"] * t.num_rows))})
 
     seeds = sccs.map_batches(seed_marks, batch_format="pyarrow")
+    reaches_core = _directed_fixpoint(edges, seeds, reduce="max",
+                                      backward=True)
+    core_reaches = _directed_fixpoint(edges, seeds, reduce="max")
 
-    def fwd_adj(t: pa.Table) -> pa.Table:
-        o = pa.table({"m": t["a"], "n": t["b"],
-                      "val": pa.nulls(t.num_rows, pa.string())})
-        return o.append_column(
-            "part", pa.array(fast_part_hash(o["m"], n_parts)))
-
-    def bwd_adj(t: pa.Table) -> pa.Table:
-        o = pa.table({"m": t["b"], "n": t["a"],
-                      "val": pa.nulls(t.num_rows, pa.string())})
-        return o.append_column(
-            "part", pa.array(fast_part_hash(o["m"], n_parts)))
-
-    reaches_core = _directed_fixpoint(
-        edges.map_batches(bwd_adj, batch_format="pyarrow").materialize(),
-        seeds, n_parts, reduce="max")
-    core_reaches = _directed_fixpoint(
-        edges.map_batches(fwd_adj, batch_format="pyarrow").materialize(),
-        seeds, n_parts, reduce="max")
-
-    tagged = _attach_val(sccs, reaches_core, "node", "ra", n_parts)
-    tagged = _attach_val(tagged, core_reaches, "node", "rd", n_parts)
+    tagged = _attach_val(sccs, reaches_core, "node", "ra")
+    tagged = _attach_val(tagged, core_reaches, "node", "rd")
 
     def classify(t: pa.Table) -> pa.Table:
         is_core = pc.equal(t["scc_id"], core_id)
@@ -1758,8 +1527,7 @@ def bowtie_regions(edges_ds, a_col: str = "subj", b_col: str = "obj",
 
 def resource_alloc_scores(edges_ds, a_col: str = "norm_a",
                           b_col: str = "norm_b",
-                          weight_scale: int = 1_000_000_000,
-                          n_parts: int | None = None):
+                          weight_scale: int = 1_000_000_000):
     """LINK PREDICTION by the resource-allocation index (Zhou, Lü &
     Zhang 2009): for every NON-adjacent pair (a, b), RA(a, b) =
     Σ_{z ∈ N(a) ∩ N(b)} 1/deg(z) — common neighbors weighted inversely
@@ -1772,22 +1540,18 @@ def resource_alloc_scores(edges_ds, a_col: str = "norm_a",
     (deg(hub) is free inside `_pair_table`'s hub pass: the length of the
     co-located neighbour list). Returns (norm_a, norm_b, n_common,
     ra_score)."""
-    from ..runtime import default_parts
-
     def finish(t: pa.Table) -> pa.Table:
         t = _open_rows(t)
         return pa.table({"norm_a": t["v"], "norm_b": t["w"],
                          "n_common": t["n_common"], "ra_score": t["ra"]})
 
     return _pair_table(edges_ds, a_col, b_col,
-                       n_parts or default_parts(1.0),
                        weight_scale=weight_scale).map_batches(
         finish, batch_format="pyarrow")
 
 
 def label_prop_communities(edges_ds, a_col: str = "norm_a",
-                           b_col: str = "norm_b", rounds: int = 4,
-                           n_parts: int | None = None):
+                           b_col: str = "norm_b", rounds: int = 4):
     """BOUNDED min-label propagation (synchronous, ``rounds`` Jacobi
     iterations): label_0(v) = v; label_{r+1}(v) = min over N(v) ∪ {v}
     of label_r — the diffusion/community primitive. Bounding BOTH sides
@@ -1796,51 +1560,39 @@ def label_prop_communities(edges_ds, a_col: str = "norm_a",
     with enough rounds it converges to connected components, for which
     the exact O(levels) path is ``connected_components``.
 
-    Per round: one label-by-neighbor co-partitioned merge (labels move,
-    the undirected+self-loop adjacency is partitioned ONCE and reused)
-    + one node-keyed partial-min exchange — 2 bounded exchanges/round,
-    labels-sized traffic only."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
+    Per round: one label-by-neighbor ``hash_exchange`` on the sender
+    (labels tag-union onto the undirected+self-loop adjacency, built
+    once) + one receiver ``hash_exchange`` folding the partial mins —
+    2 bounded exchanges/round, labels-sized traffic only."""
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
                          "b": pc.cast(t[b_col], pa.string())})
 
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
+                      ["a", "b"]).materialize()
 
     def und_self(t: pa.Table) -> pa.Table:
         a = t["a"].combine_chunks()
         b = t["b"].combine_chunks()
-        m = pa.concat_arrays([a, b, a, b])
-        n = pa.concat_arrays([b, a, a, b])  # + self-loops both ends
-        out = pa.table({"m": m, "n": n})
-        return out.append_column(
-            "part", pa.array(fast_part_hash(out["m"], n_parts)))
+        return pa.table({
+            "m": pa.concat_arrays([a, b, a, b]),
+            "n": pa.concat_arrays([b, a, a, b]),  # + self-loops both ends
+            "lbl": pa.nulls(4 * t.num_rows, pa.string())})
 
     adj = edges.map_batches(und_self, batch_format="pyarrow").materialize()
 
     def init_labels(t: pa.Table) -> pa.Table:
-        g = pa.table({"node": t["m"]}).group_by("node").aggregate([])
-        g = g.rename_columns(["node"])
-        return pa.table({"node": g["node"], "label": g["node"]})
+        g = t.select(["m"]).group_by("m").aggregate([])
+        return pa.table({"node": g["m"], "label": g["m"]})
 
     labels = adj.map_batches(init_labels, batch_format="pyarrow")
 
     def tag_label(t: pa.Table) -> pa.Table:
         return pa.table({
             "m": t["node"], "n": pa.nulls(t.num_rows, pa.string()),
-            "lbl": t["label"],
-            "part": pa.array(fast_part_hash(t["node"], n_parts))})
-
-    def widen_adj(t: pa.Table) -> pa.Table:
-        return pa.table({"m": t["m"], "n": t["n"],
-                         "lbl": pa.nulls(t.num_rows, pa.string()),
-                         "part": t["part"]})
+            "lbl": t["label"]})
 
     def send_min(df: pd.DataFrame) -> pd.DataFrame:
         lbl = (df.loc[df["lbl"].notna(), ["m", "lbl"]]
@@ -1851,25 +1603,17 @@ def label_prop_communities(edges_ds, a_col: str = "norm_a",
         # partial min inside the partition before the node exchange
         return out.groupby("n", as_index=False)["lbl"].min()
 
-    def tag_node(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["n"], n_parts)))
-
     def final_min(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("n", as_index=False)["lbl"].min()
         return pd.DataFrame({"node": g["n"].to_numpy(),
                              "label": g["lbl"].to_numpy()})
 
-    wide_adj = adj.map_batches(widen_adj, batch_format="pyarrow")
     for _ in range(rounds):
-        msgs = (labels.map_batches(tag_label, batch_format="pyarrow")
-                .union(wide_adj)
-                .groupby("part").map_groups(send_min,
-                                            batch_format="pandas"))
-        labels = (msgs.map_batches(tag_node, batch_format="pyarrow")
-                  .groupby("part").map_groups(final_min,
-                                              batch_format="pandas")
-                  ).materialize()
+        msgs = hash_exchange(
+            [labels.map_batches(tag_label, batch_format="pyarrow"), adj],
+            "m", send_min, batch_format="pandas")
+        labels = hash_exchange(msgs, "n", final_min,
+                               batch_format="pandas").materialize()
 
     def rename(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["node"], "community": t["label"]})
@@ -1877,8 +1621,7 @@ def label_prop_communities(edges_ds, a_col: str = "norm_a",
     return labels.map_batches(rename, batch_format="pyarrow")
 
 
-def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
-                n_parts: int | None = None):
+def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000):
     """Integer HITS (Kleinberg hubs & authorities) over a directed
     (subj, obj) edge Dataset — the classic web-graph ranking pair next
     to `pagerank` (the reference emits the static link graph these run
@@ -1908,16 +1651,7 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
     """
     import ray.data as rd
 
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
-    # repartition after the distinct exchanges: the half-step loop
-    # re-reads these datasets 2·iters times, and sort-shuffle block
-    # counts track INPUT block counts — without the collapse every
-    # round's exchange pays for the distincts' empty-block debris
-    # (the engine-wide iterative-loop lesson, BASELINE.md round 4)
-    edges = (_distinct(edges_ds, ["subj", "obj"])
-             .repartition(n_parts).materialize())
+    edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
 
     def hits_local(df):
         import pandas as pd
@@ -1942,15 +1676,10 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
                              "auth_scaled": auth})
 
     if edges.count() <= SMALL_GRAPH_EDGES:
-        tagged = edges.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(np.zeros(t.num_rows, np.int32))),
-            batch_format="pyarrow")
-        return (tagged.groupby("part")
-                .map_groups(lambda df: hits_local(df.drop(columns="part")),
-                            batch_format="pandas"))
+        return _in_one_task(edges, hits_local, "pandas")
 
-    node_col, zero_rows = _rank_setup(_node_set(edges), n_parts)
+    node_col = _node_column(_node_set(edges))
+
     def unit_weights(t: pa.Table) -> pa.Table:
         ones = pa.array(np.ones(t.num_rows, np.int64))
         return t.append_column("num", ones).append_column("den", ones)
@@ -1968,8 +1697,8 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
         np.full(len(node_col), scale, dtype=np.int64))})
     auth = None
     for _ in range(iters):
-        auth = normalized(_rank_sums(unit, hub, zero_rows, n_parts))
-        hub = normalized(_rank_sums(unit, auth, zero_rows, n_parts,
+        auth = normalized(_rank_sums(unit, hub, node_col))
+        hub = normalized(_rank_sums(unit, auth, node_col,
                                     src="obj", dst="subj"))
 
     idx = pc.index_in(hub["node"], value_set=auth["node"].combine_chunks())
@@ -1980,7 +1709,7 @@ def hits_scores(edges_ds, iters: int = 5, scale: int = 1_000_000,
 
 
 def trust_rank(edges_ds, seeds, iters: int = 5, damping_pct: int = 85,
-               rank_scale: int = 1_000_000, n_parts: int | None = None):
+               rank_scale: int = 1_000_000):
     """Seeded integer PageRank (TrustRank): the crawl-frontier /
     spam-demotion ranking where teleport mass lands ONLY on a curated
     seed set S, so trust decays with link distance from the seeds.
@@ -1999,17 +1728,13 @@ def trust_rank(edges_ds, seeds, iters: int = 5, damping_pct: int = 85,
     """
     import ray.data as rd
 
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
     e3, nodes, _ = _prepare(edges_ds)
-    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale, n_parts,
+    r = _pagerank_rounds(e3, nodes, iters, damping_pct, rank_scale,
                          seeds=seeds)
     return rd.from_arrow(r.rename_columns(["node", "trust_micro"]))
 
 
-def deterministic_walks(edges_ds, length: int = 4,
-                        n_parts: int | None = None):
+def deterministic_walks(edges_ds, length: int = 4):
     """GRAPH-WALK CORPUS generation (the node2vec/DeepWalk ingest:
     random walks become training sentences for graph embeddings) with a
     DETERMINISTIC next-hop rule so the DuckDB oracle replays exactly:
@@ -2027,19 +1752,16 @@ def deterministic_walks(edges_ds, length: int = 4,
     sorted neighbors) ships ONCE via ``ray.put`` and every round is a
     stateless map over the walk Dataset (#nodes rows, materialized per
     round — no loop-carried lineage). Above it, each round is ONE
-    co-partition exchange: walks keyed by hash(cur) union the edge set
-    keyed by hash(subj), with the nth-smallest-neighbor selection done
+    ``hash_exchange`` of a tag union: walks keyed by cur meet the edge
+    set keyed by subj, with the nth-smallest-neighbor selection done
     vectorized per partition (sort + prefix offsets). The md5 runs once
     per (walk, step) — not per edge. Per-walk-step md5 is the same
     published-contract loop as ta_split's content addressing.
     """
-    from ..functions.hashing import fast_part_hash, md5_hash60
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    import ray.data as rd
+    from ..functions.hashing import md5_hash60
 
     edges = _distinct(edges_ds, ["subj", "obj"]).materialize()
-    nodes = _node_set(edges)
+    nodes = _node_set(edges).materialize()
 
     outs = [nodes.map_batches(
         lambda t: pa.table({
@@ -2102,14 +1824,12 @@ def deterministic_walks(edges_ds, length: int = 4,
             res = res.union(o)
         return res
 
-    # co-partitioned mode: edges keyed by hash(subj) once; each round
-    # unions the walk frontier (keyed by hash(cur)) with the edge set
-    # and resolves next hops inside the partition
+    # exchange mode: each round tag-unions the walk frontier (subj =
+    # cur) with the edge set and resolves next hops inside the partition
     adj = edges.map_batches(
         lambda t: pa.table({
             "subj": t["subj"], "obj": t["obj"],
-            "start": pa.nulls(t.num_rows, pa.string()),
-            "part": _part_of(t["subj"], n_parts)}),
+            "start": pa.nulls(t.num_rows, pa.string())}),
         batch_format="pyarrow").materialize()
 
     state = nodes.map_batches(
@@ -2120,8 +1840,7 @@ def deterministic_walks(edges_ds, length: int = 4,
             lambda t: pa.table({
                 "subj": t["cur"],
                 "obj": pa.nulls(t.num_rows, pa.string()),
-                "start": t["start"],
-                "part": _part_of(t["cur"], n_parts)}),
+                "start": t["start"]}),
             batch_format="pyarrow")
 
         def local_step(df, _i=i):
@@ -2140,10 +1859,8 @@ def deterministic_walks(edges_ds, length: int = 4,
                                 e["obj"].to_numpy())
             return pd.DataFrame({"start": s2, "cur": nxt})
 
-        state = (frontier.union(adj)
-                 .groupby("part")
-                 .map_groups(local_step, batch_format="pandas")
-                 .repartition(n_parts).materialize())
+        state = hash_exchange([frontier, adj], "subj", local_step,
+                              batch_format="pandas").materialize()
         outs.append(state.map_batches(
             lambda t, _i=i: pa.table({
                 "start": t["start"],
@@ -2157,8 +1874,7 @@ def deterministic_walks(edges_ds, length: int = 4,
 
 
 def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
-                       b_col: str = "norm_b",
-                       n_parts: int | None = None):
+                       b_col: str = "norm_b"):
     """NEWMAN MODULARITY profile of a community partition — the
     quality metric every community-detection run is judged by. Per
     community: node count, intra-community edge count, degree mass,
@@ -2170,18 +1886,13 @@ def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
     Shape: the undirected distinct-pair edge table is materialized
     once and reused three ways — ONE tiny count aggregate for ``m``,
     then community labels attach to each endpoint via two
-    co-partitioned tag-union merges (`_attach_val`; labels move,
-    never broadcast). The doubly-labeled edges emit composable
-    (community, e_in, deg) partials per batch, unioned with
-    label-side node counts into ONE community-hash exchange.
+    tag-union merges (`_attach_val`; labels move, never broadcast).
+    The doubly-labeled edges emit composable (community, e_in, deg)
+    partials per batch, unioned with label-side node counts into ONE
+    community ``hash_exchange``.
     Returns (community, n_nodes, e_in, deg_sum, q_num).
     """
-    import numpy as np
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
 
     # endpoint columns only: the weight column would ride through two
     # pandas-block merges (whose null fillers are typed off the FIRST
@@ -2195,8 +1906,7 @@ def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
         lambda t: pa.table({"node": t["node"], "val": t["community"]}),
         batch_format="pyarrow")
     labeled = _attach_val(
-        _attach_val(edges, vals, a_col, "ca", n_parts),
-        vals, b_col, "cb", n_parts)
+        _attach_val(edges, vals, a_col, "ca"), vals, b_col, "cb")
 
     def edge_partials(df: pd.DataFrame) -> pd.DataFrame:
         ein = (df["ca"].to_numpy() == df["cb"].to_numpy()).astype(np.int64)
@@ -2206,9 +1916,7 @@ def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
             "n_nodes": np.zeros(2 * len(df), np.int64),
             "e_in": np.concatenate([ein, np.zeros(len(df), np.int64)]),
             "deg": np.ones(2 * len(df), np.int64)})
-        g = part.groupby("community", as_index=False).sum()
-        g["part"] = fast_part_hash(g["community"], n_parts)
-        return g
+        return part.groupby("community", as_index=False).sum()
 
     def node_partials(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby("community", as_index=False)
@@ -2216,13 +1924,7 @@ def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
         g["n_nodes"] = g["n_nodes"].astype("int64")
         g["e_in"] = np.zeros(len(g), np.int64)
         g["deg"] = np.zeros(len(g), np.int64)
-        g["part"] = fast_part_hash(g["community"], n_parts)
         return g
-
-    tagged = (labeled.map_batches(edge_partials, batch_format="pandas")
-              .union(labels_ds.map_batches(node_partials,
-                                           batch_format="pandas"))
-              .repartition(n_parts))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("community", as_index=False)[
@@ -2236,12 +1938,14 @@ def modularity_profile(edges_ds, labels_ds, a_col: str = "norm_a",
                         - out["deg_sum"] * out["deg_sum"]).astype("int64")
         return out
 
-    return tagged.groupby("part").map_groups(fold, batch_format="pandas")
+    return hash_exchange(
+        [labeled.map_batches(edge_partials, batch_format="pandas"),
+         labels_ds.map_batches(node_partials, batch_format="pandas")],
+        "community", fold, batch_format="pandas")
 
 
 def clustering_coefficients(edges_ds, a_col: str = "norm_a",
-                            b_col: str = "norm_b",
-                            n_parts: int | None = None):
+                            b_col: str = "norm_b"):
     """PER-NODE local clustering coefficient — the triangle-density
     profile behind every "is this neighborhood a community or a hub
     spray" judgment: for each node, its degree, the number of triangles
@@ -2250,24 +1954,19 @@ def clustering_coefficients(edges_ds, a_col: str = "norm_a",
 
     Shape: the edge rows of `_pair_table`; each credits both endpoints
     with (1 edge, n_common) per-batch partials, which fold in ONE
-    node-hash exchange: degree = Σ edges, n_tri = ½ Σ n_common (a
+    node ``hash_exchange``: degree = Σ edges, n_tri = ½ Σ n_common (a
     triangle through x closes two of x's edges). Returns (node, degree,
     n_tri, cc_micro)."""
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-
     def corners(t: pa.Table) -> pa.Table:
         t = _edge_rows(t)
         cn = t["n_common"].combine_chunks()
-        g = (pa.table({"node": pa.concat_arrays([t["v"].combine_chunks(),
-                                                 t["w"].combine_chunks()]),
-                       "deg": pa.array(np.ones(2 * t.num_rows, np.int64)),
-                       "tri": pa.concat_arrays([cn, cn])})
-             .group_by("node").aggregate([("deg", "sum"), ("tri", "sum")])
-             .rename_columns(["node", "deg", "tri"]))
-        return g.append_column("part", pa.array(fast_part_hash(g["node"],
-                                                               n_parts)))
+        return (pa.table({
+            "node": pa.concat_arrays([t["v"].combine_chunks(),
+                                      t["w"].combine_chunks()]),
+            "deg": pa.array(np.ones(2 * t.num_rows, np.int64)),
+            "tri": pa.concat_arrays([cn, cn])})
+            .group_by("node").aggregate([("deg", "sum"), ("tri", "sum")])
+            .rename_columns(["node", "deg", "tri"]))
 
     def fold(t: pa.Table) -> pa.Table:
         g = t.group_by("node").aggregate([("deg", "sum"), ("tri", "sum")])
@@ -2280,14 +1979,14 @@ def clustering_coefficients(edges_ds, a_col: str = "norm_a",
                          "n_tri": pa.array(tri),
                          "cc_micro": pa.array(cc.astype(np.int64))})
 
-    return (_pair_table(edges_ds, a_col, b_col, n_parts)
-            .map_batches(corners, batch_format="pyarrow")
-            .groupby("part").map_groups(fold, batch_format="pyarrow"))
+    return hash_exchange(
+        _pair_table(edges_ds, a_col, b_col).map_batches(
+            corners, batch_format="pyarrow"),
+        "node", fold, batch_format="pyarrow")
 
 
 def degree_mixing_stats(edges_ds, a_col: str = "norm_a",
-                        b_col: str = "norm_b",
-                        n_parts: int | None = None):
+                        b_col: str = "norm_b"):
     """DEGREE-MIXING sufficient statistics — the exact-integer inputs
     to Newman's degree assortativity: over the distinct undirected
     edges, the edge count ``m`` and the sums Σ j·k, Σ (j+k) and
@@ -2298,46 +1997,39 @@ def degree_mixing_stats(edges_ds, a_col: str = "norm_a",
     same numerator-contract idea as `modularity_profile`).
 
     Shape: distinct oriented edges → per-node degree partials → the
-    degree table attaches to both endpoints via two co-partitioned
-    tag-union merges (degrees move, never broadcast) → per-batch
+    degree table attaches to both endpoints via two tag-union merges
+    (degrees move, never broadcast) → per-batch
     partial sums → ONE scalar fold. Returns a one-row frame
     (m, sum_jk, sum_j_plus_k, sum_jj_plus_kk)."""
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t[a_col], pa.string()),
                          "b": pc.cast(t[b_col], pa.string())})
 
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["a", "b"], n_parts=n_parts).materialize()
+                      ["a", "b"]).materialize()
 
     def deg_partial(t: pa.Table) -> pa.Table:
         node = pa.concat_arrays([t["a"].combine_chunks(),
                                  t["b"].combine_chunks()])
-        g = (pa.table({"node": node,
-                       "d": pa.array(np.ones(len(node), np.int64))})
-             .group_by("node").aggregate([("d", "sum")]))
-        g = g.rename_columns(["node", "d"])
-        return g.append_column(
-            "part", pa.array(fast_part_hash(g["node"], n_parts)))
+        return (pa.table({"node": node,
+                          "d": pa.array(np.ones(len(node), np.int64))})
+                .group_by("node").aggregate([("d", "sum")])
+                .rename_columns(["node", "d"]))
 
-    def deg_fold(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)["d"].sum()
+    def deg_fold(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("d", "sum")])
         # _attach_val carries the value as a string column
-        return pd.DataFrame({"node": g["node"],
-                             "val": g["d"].astype("int64").astype(str)})
+        return pa.table({"node": g["node"],
+                         "val": pc.cast(g["d_sum"], pa.string())})
 
-    degs = (edges.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("part").map_groups(deg_fold, batch_format="pandas")
-            .map_batches(lambda t: t, batch_format="pyarrow"))
+    degs = hash_exchange(edges.map_batches(deg_partial,
+                                           batch_format="pyarrow"),
+                         "node", deg_fold, batch_format="pyarrow")
 
-    labeled = _attach_val(
-        _attach_val(edges, degs, "a", "dj", n_parts),
-        degs, "b", "dk", n_parts)
+    labeled = _attach_val(_attach_val(edges, degs, "a", "dj"),
+                          degs, "b", "dk")
 
     def sums(df: pd.DataFrame) -> pd.DataFrame:
         j = df["dj"].astype("int64").to_numpy()
@@ -2363,9 +2055,38 @@ def degree_mixing_stats(edges_ds, a_col: str = "norm_a",
                                    dtype="int64")})
 
 
+def _merge_sides(df, how: str = "inner"):
+    """The per-partition merge of a two-sided (key, val, tag) union:
+    distinct tag-0 values × tag-1 values per key, as (key, val_l,
+    val_r). All rows of a key co-locate, so distinctness is global."""
+    lv = df[df["tag"] == 0][["key", "val"]].drop_duplicates()
+    rv = df[df["tag"] == 1][["key", "val"]].drop_duplicates()
+    return lv.merge(rv, on="key", how=how, suffixes=("_l", "_r"))
+
+
+def _bgp(facts_ds, left, right, pred_col: str, finish):
+    """Two triple patterns ``left``/``right`` = (pred, key_col, val_col)
+    joined on their shared variable: each side is per-batch DISTINCT
+    (key, val, tag) rows (duplicate assertions from many pages collapse
+    before the exchange), both meet in ONE ``hash_exchange`` on ``key``
+    (tag union, no join operator), ``finish`` over each partition."""
+    def side(pred: str, key_col: str, val_col: str, tag: int):
+        def fn(t: pa.Table) -> pa.Table:
+            t = t.filter(pc.equal(t[pred_col], pred))
+            g = (pa.table({"key": t[key_col], "val": t[val_col]})
+                 .group_by(["key", "val"]).aggregate([]))
+            return g.append_column(
+                "tag", pa.array(np.full(g.num_rows, tag, np.int8)))
+
+        return facts_ds.map_batches(fn, batch_format="pyarrow")
+
+    return hash_exchange([side(*left, 0), side(*right, 1)], "key", finish,
+                         batch_format="pandas")
+
+
 def bgp_join(facts_ds, p1: str = "kg:acquired", p2: str = "kg:basedIn",
              subj_col: str = "subj", pred_col: str = "pred",
-             obj_col: str = "obj", n_parts: int | None = None):
+             obj_col: str = "obj"):
     """Basic-graph-pattern join — the 2-pattern SPARQL-style BGP
     ``?a p1 ?b . ?b p2 ?c`` evaluated over the constructed KG's fact
     stream; returns the DISTINCT binding set ``(a, b, c)``. This is the
@@ -2373,55 +2094,27 @@ def bgp_join(facts_ds, p1: str = "kg:acquired", p2: str = "kg:basedIn",
     output feeds a Jena resource index the same way —
     Extract.java:96-100's ``#ri`` graph).
 
-    Shape: each pattern side filters its predicate and emits per-batch
-    DISTINCT (key, val) pairs (the combiner — duplicate assertions from
-    many pages collapse before the exchange), both sides ride ONE
-    hash-partition exchange on the shared variable ``b`` (tag union, no
-    join operator), and the per-partition merge emits a-values ×
-    c-values per b. Distinctness is global because all rows of a given
-    b co-locate. Skew note: a head entity with many a- and c-bindings
-    produces |a|·|c| rows — that is the query RESULT size, not a plan
-    artifact; cap upstream if a bounded preview is wanted."""
+    Shape (`_bgp`): each pattern side filters its predicate and emits
+    per-batch DISTINCT (key, val) pairs, both sides ride ONE
+    ``hash_exchange`` on the shared variable ``b``, and the
+    per-partition merge emits a-values × c-values per b. Skew note: a
+    head entity with many a- and c-bindings produces |a|·|c| rows —
+    that is the query RESULT size, not a plan artifact; cap upstream
+    if a bounded preview is wanted."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
-
-    def side(pred, key_col, val_col, tag):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t[pred_col], pred))
-            g = (pa.table({"key": t[key_col], "val": t[val_col]})
-                 .group_by(["key", "val"]).aggregate([]))
-            return pa.table({
-                "key": g["key"],
-                "val": g["val"],
-                "tag": pa.array(np.full(g.num_rows, tag, np.int8)),
-                "part": pa.array(fast_part_hash(g["key"], n_parts)),
-            })
-        return fn
-
-    lhs = facts_ds.map_batches(side(p1, obj_col, subj_col, 0),
-                               batch_format="pyarrow")
-    rhs = facts_ds.map_batches(side(p2, subj_col, obj_col, 1),
-                               batch_format="pyarrow")
-
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        av = df[df["tag"] == 0][["key", "val"]].drop_duplicates()
-        cv = df[df["tag"] == 1][["key", "val"]].drop_duplicates()
-        out = av.merge(cv, on="key", suffixes=("_a", "_c"))
-        return pd.DataFrame({"a": out["val_a"], "b": out["key"],
-                             "c": out["val_c"]})
+        m = _merge_sides(df)
+        return pd.DataFrame({"a": m["val_l"], "b": m["key"],
+                             "c": m["val_r"]})
 
-    return (lhs.union(rhs).groupby("part")
-            .map_groups(merge, batch_format="pandas"))
+    return _bgp(facts_ds, (p1, obj_col, subj_col), (p2, subj_col, obj_col),
+                pred_col, merge)
 
 
 def bgp_optional(facts_ds, p1: str = "kg:acquired",
                  p2: str = "kg:basedIn", subj_col: str = "subj",
-                 pred_col: str = "pred", obj_col: str = "obj",
-                 n_parts: int | None = None):
+                 pred_col: str = "pred", obj_col: str = "obj"):
     """SPARQL OPTIONAL — the left-join BGP ``?a p1 ?b . OPTIONAL { ?b
     p2 ?c }``: every DISTINCT (a, b) binding of the required pattern
     survives; where the optional pattern matches b it fans out to its
@@ -2429,102 +2122,56 @@ def bgp_optional(facts_ds, p1: str = "kg:acquired",
     no-binding marker — '' is never a term, and it keeps the oracle's
     ``coalesce`` exact without a NULL-representation contract).
 
-    Same physical shape as `bgp_join` (one tag-union exchange on the
-    shared variable, per-batch DISTINCT combiners on both sides, no
-    join operator); only the per-partition merge differs (left merge
-    instead of inner). Distinctness is global because all rows of a
-    given b co-locate."""
+    Same physical shape as `bgp_join` (`_bgp`); only the per-partition
+    merge differs (left merge instead of inner)."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
-
-    def side(pred, key_col, val_col, tag):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t[pred_col], pred))
-            g = (pa.table({"key": t[key_col], "val": t[val_col]})
-                 .group_by(["key", "val"]).aggregate([]))
-            return pa.table({
-                "key": g["key"],
-                "val": g["val"],
-                "tag": pa.array(np.full(g.num_rows, tag, np.int8)),
-                "part": pa.array(fast_part_hash(g["key"], n_parts)),
-            })
-        return fn
-
-    lhs = facts_ds.map_batches(side(p1, obj_col, subj_col, 0),
-                               batch_format="pyarrow")
-    rhs = facts_ds.map_batches(side(p2, subj_col, obj_col, 1),
-                               batch_format="pyarrow")
-
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        av = df[df["tag"] == 0][["key", "val"]].drop_duplicates()
-        cv = df[df["tag"] == 1][["key", "val"]].drop_duplicates()
-        out = av.merge(cv, on="key", how="left", suffixes=("_a", "_c"))
-        return pd.DataFrame({
-            "a": out["val_a"], "b": out["key"],
-            "c": out["val_c"].fillna("")})
+        m = _merge_sides(df, how="left")
+        return pd.DataFrame({"a": m["val_l"], "b": m["key"],
+                             "c": m["val_r"].fillna("")})
 
-    return (lhs.union(rhs).groupby("part")
-            .map_groups(merge, batch_format="pandas"))
+    return _bgp(facts_ds, (p1, obj_col, subj_col), (p2, subj_col, obj_col),
+                pred_col, merge)
 
 
-def harmonic_2hop(edges_ds, a_col: str = "subj", b_col: str = "obj",
-                  n_parts: int | None = None):
+def harmonic_2hop(edges_ds, a_col: str = "subj", b_col: str = "obj"):
     """Bounded-radius HARMONIC CENTRALITY (Boldi & Vigna 2014) at ≤2
     hops over the DIRECTED graph, integer-scaled ×2 so both distance
     weights stay exact: ``harmonic_x2(v) = 2·|{u: d(u→v)=1}| +
     |{u: d(u→v)=2}|`` (the 1/1 and 1/2 terms of Σ 1/d truncated at
     radius 2).
 
-    Shape (every stage a combiner + ONE exchange):
+    Shape (every stage a combiner + ONE ``hash_exchange``):
       1. distinct edges, distinct nodes,
-      2. distance-2 candidates: in-rows and out-rows co-partitioned on
-         the MID node (one exchange), per-mid vectorized cross merge —
-         the directed analog of ``two_hop_scores``' wedge emit, same
-         Σ(d_in·d_out) hub bound,
-      3. pairs tag-unioned with the distance-1 edge set on the (u, v)
-         pair hash (one exchange) — pairs that close a direct edge are
-         distance 1, not 2,
+      2. distance-2 candidates: in-rows and out-rows meet on the MID
+         node, per-mid vectorized cross merge — the directed analog of
+         ``two_hop_scores``' wedge emit, same Σ(d_in·d_out) hub bound,
+      3. pairs tag-unioned with the distance-1 edge set on the pair's
+         source u — pairs that close a direct edge are distance 1,
+         not 2,
       4. per-node counts for both rings and a final tag-union sum on
-         the node hash, zero-filled from the node set.
+         the node, zero-filled from the node set.
 
     Returns (node, harmonic_x2), one row per graph node."""
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
 
     def to_ab(t: pa.Table) -> pa.Table:
         return pa.table({"u": pc.cast(t[a_col], pa.string()),
                          "v": pc.cast(t[b_col], pa.string())})
 
     edges = _distinct(edges_ds.map_batches(to_ab, batch_format="pyarrow"),
-                      ["u", "v"], n_parts=n_parts).materialize()
+                      ["u", "v"]).materialize()
+    nodes = _node_set(edges, "u", "v")
 
-    def both_ends(t: pa.Table) -> pa.Table:
-        return pa.table({"node": pa.concat_arrays(
-            [t["u"].combine_chunks(), t["v"].combine_chunks()])})
-
-    nodes = _distinct(edges.map_batches(both_ends, batch_format="pyarrow"),
-                      ["node"], n_parts=n_parts)
-
-    # --- distance-2 candidate pairs, co-partitioned on the mid node
+    # --- distance-2 candidate pairs, co-located on the mid node
     def in_rows(t: pa.Table) -> pa.Table:  # u -> mid
-        out = pa.table({"mid": t["v"], "node": t["u"],
-                        "role": pa.array(np.zeros(t.num_rows, np.int8))})
-        return out.append_column(
-            "part", pa.array(fast_part_hash(out["mid"], n_parts)))
+        return pa.table({"mid": t["v"], "node": t["u"],
+                         "role": pa.array(np.zeros(t.num_rows, np.int8))})
 
     def out_rows(t: pa.Table) -> pa.Table:  # mid -> v
-        out = pa.table({"mid": t["u"], "node": t["v"],
-                        "role": pa.array(np.ones(t.num_rows, np.int8))})
-        return out.append_column(
-            "part", pa.array(fast_part_hash(out["mid"], n_parts)))
+        return pa.table({"mid": t["u"], "node": t["v"],
+                         "role": pa.array(np.ones(t.num_rows, np.int8))})
 
     def cross(df: pd.DataFrame) -> pd.DataFrame:
         ins = df[df["role"] == 0][["mid", "node"]].rename(
@@ -2535,19 +2182,17 @@ def harmonic_2hop(edges_ds, a_col: str = "subj", b_col: str = "obj",
         m = m[m["u"] != m["v"]].drop_duplicates()
         return m
 
-    pairs = (edges.map_batches(in_rows, batch_format="pyarrow")
-             .union(edges.map_batches(out_rows, batch_format="pyarrow"))
-             .groupby("part").map_groups(cross, batch_format="pandas"))
+    pairs = hash_exchange(
+        [edges.map_batches(in_rows, batch_format="pyarrow"),
+         edges.map_batches(out_rows, batch_format="pyarrow")],
+        "mid", cross, batch_format="pandas")
 
     # --- drop pairs that are direct edges (distance 1 wins)
     def tag_pair(kind: int):
         def fn(t: pa.Table) -> pa.Table:
-            key = pc.binary_join_element_wise(t["u"], t["v"], "\x1f")
-            out = pa.table({"u": t["u"], "v": t["v"],
-                            "kind": pa.array(np.full(t.num_rows, kind,
-                                                     np.int64))})
-            return out.append_column(
-                "part", pa.array(fast_part_hash(key, n_parts)))
+            return pa.table({"u": t["u"], "v": t["v"],
+                             "kind": pa.array(np.full(t.num_rows, kind,
+                                                      np.int64))})
         return fn
 
     def open_only(df: pd.DataFrame) -> pd.DataFrame:
@@ -2558,27 +2203,17 @@ def harmonic_2hop(edges_ds, a_col: str = "subj", b_col: str = "obj",
     loop_free = edges.map_batches(
         lambda t: t.filter(pc.invert(pc.equal(t["u"], t["v"]))),
         batch_format="pyarrow").materialize()
-    d2 = (pairs.map_batches(tag_pair(1), batch_format="pyarrow")
-          .union(loop_free.map_batches(tag_pair(-1),
-                                       batch_format="pyarrow"))
-          .groupby("part").map_groups(open_only, batch_format="pandas"))
+    d2 = hash_exchange(
+        [pairs.map_batches(tag_pair(1), batch_format="pyarrow"),
+         loop_free.map_batches(tag_pair(-1), batch_format="pyarrow")],
+        "u", open_only, batch_format="pandas")
 
     # --- per-node ring counts -> one zero-filled tag-union sum
-    def count_v(weight: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("v", as_index=False).size()
-            return pd.DataFrame({
-                "node": g["v"].to_numpy(),
-                "inc": (g["size"] * weight).astype("int64").to_numpy()})
+    def ring(weight: int):
+        def fn(t: pa.Table) -> pa.Table:
+            return pa.table({"node": t["v"], "inc": pa.array(
+                np.full(t.num_rows, weight, np.int64))})
         return fn
-
-    def zero_rows(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["node"],
-                         "inc": pa.array(np.zeros(t.num_rows, np.int64))})
-
-    def tag_node(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pa.array(fast_part_hash(t["node"], n_parts)))
 
     def final_sum(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("node", as_index=False)["inc"].sum()
@@ -2586,63 +2221,42 @@ def harmonic_2hop(edges_ds, a_col: str = "subj", b_col: str = "obj",
                              "harmonic_x2": g["inc"].astype("int64")
                                              .to_numpy()})
 
-    d1_counts = loop_free.map_batches(
-        lambda t: pa.table({"node": t["v"],
-                            "inc": pa.array(np.full(t.num_rows, 2,
-                                                    np.int64))}),
-        batch_format="pyarrow")
-    d2_counts = d2.map_batches(
-        lambda t: pa.table({"node": t["v"],
-                            "inc": pa.array(np.ones(t.num_rows,
-                                                    np.int64))}),
-        batch_format="pyarrow")
-
-    return (nodes.map_batches(zero_rows, batch_format="pyarrow")
-            .union(d1_counts, d2_counts)
-            .map_batches(tag_node, batch_format="pyarrow")
-            .groupby("part").map_groups(final_sum, batch_format="pandas"))
+    zeros = nodes.map_batches(
+        lambda t: pa.table({"node": t["node"], "inc": pa.array(
+            np.zeros(t.num_rows, np.int64))}), batch_format="pyarrow")
+    return hash_exchange(
+        [zeros, loop_free.map_batches(ring(2), batch_format="pyarrow"),
+         d2.map_batches(ring(1), batch_format="pyarrow")],
+        "node", final_sum, batch_format="pandas")
 
 
 def wedge_pairs(ds, block_cols, item_col, min_count: int = 1,
                 max_df: int | None = None,
-                out_cols=("d1", "d2", "n"),
-                n_parts: int | None = None):
+                out_cols=("d1", "d2", "n")):
     """Shared BLOCKING-KEY PAIR COUNTER — the wedge shape
     `sameas_candidates`, `winnowing_pairs` and `host_cocitation` all
     instantiate: count, for every unordered pair of ITEMS, the number
     of distinct BLOCKS containing both.
 
-    Shape: per-batch DISTINCT (item, block) combiner → ONE block-hash
-    exchange co-locating each block's item list (blocks wider than
-    ``max_df`` items are DROPPED there — the quadratic-wedge guard) →
-    per-block vectorized cross merge emits C(n, 2) pair PARTIALS (a
-    block lives in exactly one partition, so partials are disjoint) →
-    ONE pair-hash exchange sums and thresholds at ``min_count``. Cost
+    Shape: per-batch DISTINCT (item, block) combiner → ONE
+    ``hash_exchange`` on ``block_cols[0]`` co-locating each block's item
+    list (every row of a block shares that column; put the most
+    selective block column first) — blocks wider than ``max_df`` items
+    are DROPPED there, the quadratic-wedge guard → per-block vectorized
+    cross merge emits C(n, 2) pair PARTIALS (a block lives in exactly
+    one partition, so partials are disjoint) → ONE ``hash_exchange`` on
+    the pair's first item sums and thresholds at ``min_count``. Cost
     is Σ n_items² over blocks — `two_hop_scores`' bound. Input batches
     must carry ``block_cols`` + ``item_col``; items must be mutually
     orderable (the pair is emitted as (min, max))."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
     block_cols = list(block_cols)
     c1, c2, cn = out_cols
 
-    # internal exchange columns: prefixed so no out_cols / block_cols
-    # / item_col choice can collide with them (a caller naming an
-    # output column "p2" must not clobber the pair-hash routing)
-    P1, P2 = "__wp_part", "__wp_part2"
-
     def combine(t: pa.Table) -> pa.Table:
-        g = (t.select([item_col] + block_cols)
-             .group_by([item_col] + block_cols).aggregate([]))
-        key = g[block_cols[0]].cast(pa.string())
-        for c in block_cols[1:]:
-            key = pc.binary_join_element_wise(
-                key, g[c].cast(pa.string()), "\x1f")
-        return g.append_column(
-            P1, pa.array(fast_part_hash(key, n_parts)))
+        return (t.select([item_col] + block_cols)
+                .group_by([item_col] + block_cols).aggregate([]))
 
     def cross(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates([item_col] + block_cols)
@@ -2656,8 +2270,6 @@ def wedge_pairs(ds, block_cols, item_col, min_count: int = 1,
         g = (m.groupby([a, b], as_index=False).size()
              .rename(columns={a: c1, b: c2, "size": "n"}))
         g["n"] = g["n"].astype("int64")
-        key = g[c1].astype(str) + "\x1f" + g[c2].astype(str)
-        g[P2] = fast_part_hash(list(key), n_parts)
         return g
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -2667,14 +2279,14 @@ def wedge_pairs(ds, block_cols, item_col, min_count: int = 1,
         g["n"] = g["n"].astype("int64")
         return g.rename(columns={"n": cn})
 
-    return (ds.map_batches(combine, batch_format="pyarrow")
-            .groupby(P1).map_groups(cross, batch_format="pandas")
-            .groupby(P2).map_groups(fold, batch_format="pandas"))
+    pairs = hash_exchange(ds.map_batches(combine, batch_format="pyarrow"),
+                          block_cols[0], cross, batch_format="pandas")
+    return hash_exchange(pairs, c1, fold, batch_format="pandas")
 
 
 def sameas_candidates(facts_ds, min_shared: int = 2,
                       subj_col: str = "subj", pred_col: str = "pred",
-                      obj_col: str = "obj", n_parts: int | None = None):
+                      obj_col: str = "obj"):
     """ENTITY-RESOLUTION CANDIDATES by shared assertions: subject pairs
     (e1 < e2) asserting at least ``min_shared`` identical (pred, obj)
     slots are owl:sameAs candidates — the structural step AFTER
@@ -2683,9 +2295,10 @@ def sameas_candidates(facts_ds, min_shared: int = 2,
     identically in the graph). Classic blocking-key ER: the block key
     is the (pred, obj) slot itself.
 
-    Shape: `wedge_pairs` on block = the (pred, obj) slot, item = the
-    subject — per-batch distinct combiner, ONE slot-hash exchange with
-    the per-slot cross merge, ONE pair-hash threshold sum. Cost is
+    Shape: `wedge_pairs` on block = the (obj, pred) slot (routed on
+    the object: predicates are few), item = the subject — per-batch
+    distinct combiner, ONE slot exchange with the per-slot cross
+    merge, ONE pair exchange with the threshold sum. Cost is
     Σ n_subj² over slots; a slot shared by a true hub
     ('rdf:type kg:WebPage'-class predicates) must be excluded upstream
     or df-capped, exactly as `ngram_pairs` caps df.
@@ -2698,13 +2311,13 @@ def sameas_candidates(facts_ds, min_shared: int = 2,
 
     return wedge_pairs(
         facts_ds.map_batches(project, batch_format="pyarrow"),
-        block_cols=["p", "o"], item_col="s", min_count=min_shared,
-        out_cols=("e1", "e2", "n_shared"), n_parts=n_parts)
+        block_cols=["o", "p"], item_col="s", min_count=min_shared,
+        out_cols=("e1", "e2", "n_shared"))
 
 
 def property_path(facts_ds, pred: str = "kg:acquired", max_len: int = 3,
                   subj_col: str = "subj", pred_col: str = "pred",
-                  obj_col: str = "obj", n_parts: int | None = None):
+                  obj_col: str = "obj"):
     """SPARQL property-path reachability ``a (p)+ d`` bounded at
     ``max_len`` hops: all DISTINCT ordered pairs connected by a chain
     of ``pred`` edges of length 1..max_len, each with its SHORTEST
@@ -2712,23 +2325,18 @@ def property_path(facts_ds, pred: str = "kg:acquired", max_len: int = 3,
     consumer runs ("what does a transitively own, and how directly").
 
     Shape: the distinct ``pred`` edge set is materialized once; then
-    ``max_len − 1`` rounds, each ONE tag-union co-partition exchange
+    ``max_len − 1`` rounds, each ONE tag-union ``hash_exchange``
     joining the frontier's tail to edge heads (the `bgp_join` merge),
-    with per-round DISTINCT combiners. Pairs carry their first
-    (= shortest, by BFS order) length; the final node-pair exchange
-    keeps the min. Diameter-bounded by construction — max_len is a
-    query parameter, not an iteration guess."""
+    with per-round DISTINCT merges. Pairs carry their first
+    (= shortest, by BFS order) length; the final exchange on the
+    path's head keeps the min. Diameter-bounded by construction —
+    max_len is a query parameter, not an iteration guess."""
     import pandas as pd
-
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
 
     def edge_rows(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t[pred_col], pred))
-        g = (pa.table({"a": t[subj_col], "b": t[obj_col]})
-             .group_by(["a", "b"]).aggregate([]))
-        return g
+        return (pa.table({"a": t[subj_col], "b": t[obj_col]})
+                .group_by(["a", "b"]).aggregate([]))
 
     # GLOBAL distinct before materializing: the same edge is asserted
     # by many docs across many batches, and this table rides every
@@ -2736,16 +2344,18 @@ def property_path(facts_ds, pred: str = "kg:acquired", max_len: int = 3,
     # edges, not assertion count
     edges = _distinct(
         facts_ds.map_batches(edge_rows, batch_format="pyarrow"),
-        ["a", "b"], n_parts=n_parts).materialize()
+        ["a", "b"]).materialize()
 
-    def tag(col, vals_tbl_cols, tagv):
-        def fn(t: pa.Table) -> pa.Table:
-            out = pa.table(dict(vals_tbl_cols(t)))
-            out = out.append_column(
-                "tag", pa.array(np.full(out.num_rows, tagv, np.int8)))
-            return out.append_column(
-                "part", pa.array(fast_part_hash(out[col], n_parts)))
-        return fn
+    def side(ds, key: str, val: str, tag: int):
+        return ds.map_batches(
+            lambda t: pa.table({"key": t[key], "val": t[val], "tag": pa.array(
+                np.full(t.num_rows, tag, np.int8))}),
+            batch_format="pyarrow")
+
+    def extend(df: pd.DataFrame) -> pd.DataFrame:
+        m = _merge_sides(df)
+        return pd.DataFrame({"a": m["val_l"],
+                             "d": m["val_r"]}).drop_duplicates()
 
     # paths: (a, d, length); frontier starts as the edges themselves
     frontier = edges.map_batches(
@@ -2754,24 +2364,11 @@ def property_path(facts_ds, pred: str = "kg:acquired", max_len: int = 3,
                                 np.ones(t.num_rows, np.int64))}),
         batch_format="pyarrow").materialize()
     all_paths = [frontier]
+    heads = side(edges, "a", "b", 1)
 
-    for _ in range(max_len - 1):
-        lhs = frontier.map_batches(
-            tag("key", lambda t: {"key": t["d"], "val": t["a"]}, 0),
-            batch_format="pyarrow")
-        rhs = edges.map_batches(
-            tag("key", lambda t: {"key": t["a"], "val": t["b"]}, 1),
-            batch_format="pyarrow")
-        def extend(df: pd.DataFrame) -> pd.DataFrame:
-            av = df[df["tag"] == 0][["key", "val"]].drop_duplicates()
-            bv = df[df["tag"] == 1][["key", "val"]].drop_duplicates()
-            m = av.merge(bv, on="key", suffixes=("_a", "_d"))
-            out = pd.DataFrame({"a": m["val_a"], "d": m["val_d"]})
-            return out.drop_duplicates()
-
-        nxt = (lhs.union(rhs).groupby("part")
-               .map_groups(extend, batch_format="pandas"))
-        k = len(all_paths) + 1
+    for k in range(2, max_len + 1):
+        nxt = hash_exchange([side(frontier, "d", "a", 0), heads], "key",
+                            extend, batch_format="pandas")
         frontier = nxt.map_batches(
             lambda t, _k=k: t.append_column(
                 "length", pa.array(np.full(t.num_rows, _k, np.int64))),
@@ -2783,60 +2380,27 @@ def property_path(facts_ds, pred: str = "kg:acquired", max_len: int = 3,
         g["length"] = g["length"].astype("int64")
         return g
 
-    union = all_paths[0]
-    for p in all_paths[1:]:
-        union = union.union(p)
-    tagged = union.map_batches(
-        lambda t: t.append_column("part", pa.array(fast_part_hash(
-            pc.binary_join_element_wise(t["a"], t["d"], "\x1f"),
-            n_parts))),
-        batch_format="pyarrow")
-    return tagged.groupby("part").map_groups(min_len,
-                                             batch_format="pandas")
+    return hash_exchange(all_paths, "a", min_len, batch_format="pandas")
 
 
 def star_join(facts_ds, p1: str = "kg:worksWith",
               p2: str = "kg:acquired", subj_col: str = "subj",
-              pred_col: str = "pred", obj_col: str = "obj",
-              n_parts: int | None = None):
+              pred_col: str = "pred", obj_col: str = "obj"):
     """STAR-shaped BGP ``?s p1 ?a . ?s p2 ?b`` — the subject-join
     companion of `bgp_join`'s chain: DISTINCT bindings (s, a, b) for
     subjects asserting BOTH predicates. Star queries are the entity-
     card shape (all properties of one subject at once); the chain is
     the path shape.
 
-    Same physical plan as `bgp_join` with the shared variable being
-    the SUBJECT on both sides: per-side per-batch DISTINCT combiners,
-    ONE tag-union exchange on s, per-partition cross merge. Result
-    size per subject is |a|·|b| — the query's own output, as with the
-    chain."""
+    Same physical plan as `bgp_join` (`_bgp`) with the shared variable
+    being the SUBJECT on both sides. Result size per subject is
+    |a|·|b| — the query's own output, as with the chain."""
     import pandas as pd
 
-    from ..functions.hashing import fast_part_hash
-    from ..runtime import default_parts
-
-    n_parts = n_parts or default_parts(1.0)
-
-    def side(pred, tag):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(t[pred_col], pred))
-            g = (pa.table({"key": t[subj_col], "val": t[obj_col]})
-                 .group_by(["key", "val"]).aggregate([]))
-            return pa.table({
-                "key": g["key"], "val": g["val"],
-                "tag": pa.array(np.full(g.num_rows, tag, np.int8)),
-                "part": pa.array(fast_part_hash(g["key"], n_parts))})
-        return fn
-
-    lhs = facts_ds.map_batches(side(p1, 0), batch_format="pyarrow")
-    rhs = facts_ds.map_batches(side(p2, 1), batch_format="pyarrow")
-
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        av = df[df["tag"] == 0][["key", "val"]].drop_duplicates()
-        bv = df[df["tag"] == 1][["key", "val"]].drop_duplicates()
-        out = av.merge(bv, on="key", suffixes=("_a", "_b"))
-        return pd.DataFrame({"s": out["key"], "a": out["val_a"],
-                             "b": out["val_b"]})
+        m = _merge_sides(df)
+        return pd.DataFrame({"s": m["key"], "a": m["val_l"],
+                             "b": m["val_r"]})
 
-    return (lhs.union(rhs).groupby("part")
-            .map_groups(merge, batch_format="pandas"))
+    return _bgp(facts_ds, (p1, subj_col, obj_col), (p2, subj_col, obj_col),
+                pred_col, merge)

@@ -255,7 +255,7 @@ def host_rank(pages_ds, html_col: str = "html", url_col: str = "url",
 
     ranks = pagerank(edges.map_batches(to_subj_obj,
                                        batch_format="pyarrow"),
-                     iters=iters, n_parts=n_parts)
+                     iters=iters)
     return ranks.map_batches(
         lambda t: t.rename_columns(["host", "rank_micro"]),
         batch_format="pyarrow")
@@ -387,7 +387,6 @@ def outlink_stats(ds, html_col: str = "html", id_col: str = "doc_id",
 def redirect_resolve(redirects_ds, url_col: str = "url",
                      target_col: str = "target",
                      max_doublings: int = 8,
-                     n_parts: int | None = None,
                      small_map_rows: int = 2_000_000):
     """REDIRECT-CHAIN RESOLUTION: resolve every source url of a
     (url → target) redirect map to its terminal target; chains that
@@ -397,32 +396,23 @@ def redirect_resolve(redirects_ds, url_col: str = "url",
     Maps at or below ``small_map_rows`` short-circuit to one exact
     single-task memoized walk (the kcore/components small-input rule).
     The at-scale path is POINTER DOUBLING — per round ONE
-    co-partitioned attach (the current pointer's pointer) + a changed
+    hash-exchange attach (the current pointer's pointer) + a changed
     count, so rounds ≈ log2(longest chain), capped at
     ``max_doublings`` (chains ≤ 2^max_doublings resolve exactly;
     browsers cap redirect chains at ~20 hops, so the default bound of
     256 is generous; cycle pointers never leave the domain, so the cap
     also bounds odd-cycle oscillation)."""
-    import ray.data as rd
-
-    from ..runtime import default_parts
-    n_parts = n_parts or default_parts(1.0)
-    from .graph import _attach_val, _distinct
+    from .graph import _attach_val, _distinct, _in_one_task
 
     def to_uv(t: pa.Table) -> pa.Table:
         return pa.table({"url": pc.cast(t[url_col], pa.string()),
                          "ptr": pc.cast(t[target_col], pa.string())})
 
     r = _distinct(redirects_ds.map_batches(to_uv, batch_format="pyarrow"),
-                  ["url", "ptr"], n_parts=n_parts).materialize()
+                  ["url", "ptr"]).materialize()
 
     if r.count() <= small_map_rows:
-        tagged = r.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(np.zeros(t.num_rows, np.int32))),
-            batch_format="pyarrow")
-        return tagged.groupby("part").map_groups(
-            _resolve_local, batch_format="pandas")
+        return _in_one_task(r, _resolve_local, "pandas")
 
     for _ in range(max_doublings):
         # nxt = r[ptr] (null when ptr is terminal / outside the domain)
@@ -430,7 +420,7 @@ def redirect_resolve(redirects_ds, url_col: str = "url",
             r, r.map_batches(
                 lambda t: pa.table({"node": t["url"], "val": t["ptr"]}),
                 batch_format="pyarrow"),
-            "ptr", "nxt", n_parts)
+            "ptr", "nxt")
         r = stepped.map_batches(
             lambda t: pa.table({
                 "url": t["url"],
@@ -440,7 +430,7 @@ def redirect_resolve(redirects_ds, url_col: str = "url",
                             pc.not_equal(pc.coalesce(t["nxt"], t["ptr"]),
                                          t["ptr"])),
                     pa.int64())}),
-            batch_format="pyarrow").repartition(n_parts).materialize()
+            batch_format="pyarrow").materialize()
         if (r.sum("chg") or 0) == 0:
             break
 
@@ -448,7 +438,7 @@ def redirect_resolve(redirects_ds, url_col: str = "url",
         r, r.map_batches(
             lambda t: pa.table({"node": t["url"], "val": t["ptr"]}),
             batch_format="pyarrow"),
-        "ptr", "nxt", n_parts)
+        "ptr", "nxt")
     return final.map_batches(
         lambda t: pa.table({
             "url": t["url"],
@@ -1278,8 +1268,7 @@ def host_cocitation(pages_ds, html_col: str = "html",
 
     return wedge_pairs(edges.map_batches(tag, batch_format="pyarrow"),
                        block_cols=["s"], item_col="d",
-                       out_cols=("h1", "h2", "n_cociting"),
-                       n_parts=n_parts)
+                       out_cols=("h1", "h2", "n_cociting"))
 
 
 def revisit_classify(cdx_ds, key_col: str = "urlkey",

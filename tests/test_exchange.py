@@ -61,6 +61,20 @@ def test_union_puts_equal_keys_from_both_sides_in_one_call(ray_session):
     assert (per_key["calls"] == 1).all() and (per_key["sides"] == 2).all()
 
 
+def test_input_with_a_part_column_passes_through(ray_session):
+    """The routing column has a reserved name: an input column called
+    ``part`` reaches ``finish`` as it was and stays in the output."""
+    import ray.data as rd
+
+    t = pa.table({"k": pa.array(np.arange(50) % 7, pa.int64()),
+                  "part": pa.array([f"p{i}" for i in range(50)])})
+    out = to_pandas(hash_exchange(rd.from_arrow(t).repartition(3), "k",
+                                  _tag_call(), batch_format="pandas"))
+    assert sorted(out["part"]) == sorted(f"p{i}" for i in range(50))
+    assert out.groupby("k")["call"].nunique().max() == 1
+    assert not [c for c in out.columns if c not in ("k", "part", "call")]
+
+
 def test_empty_input_gives_no_rows(ray_session):
     import ray.data as rd
 
@@ -74,14 +88,17 @@ def test_empty_input_gives_no_rows(ray_session):
 @pytest.mark.parametrize("cpus", [1, 64, 256])
 def test_migrated_queries_invariant_to_partition_count(
         cpus, sf_dir, monkeypatch):
-    """A window op, tag-union merges, merge_upsert and the KG's
-    composite-key, two-exchange and three-sided sites give the same rows
-    whatever partition count the session's CPU count implies."""
+    """A window op, tag-union merges, merge_upsert, the KG's
+    composite-key, two-exchange and three-sided sites and the graph
+    kernels (SCC fixpoints, label rounds, the pair table, BGP and
+    property-path merges) give the same rows whatever partition count
+    the session's CPU count implies (one partition on one CPU)."""
     import __ray_entry__ as em
 
     names = ["rel_rolling", "rel_outer_join", "rel_merge",
              "kg_fact_current", "kg_delta", "kg_pred_stats",
-             "kg_entity_cards"]
+             "kg_entity_cards", "kg_scc", "kg_label_prop", "kg_triangles",
+             "kg_bgp", "kg_prop_path"]
 
     def rows(name):
         df = to_pandas(em.queries()[name](sf_dir))
@@ -139,9 +156,12 @@ def test_stale_pages_cache_is_synthesized_again(sf_dir, tmp_path,
 #   exchange, not a hash exchange.
 # - canonicalize.py, 0.
 # - kg.py, 0 (term_dictionary's rank groups by "bucket", a range).
+# - graph.py, 0 (its small-graph exact paths run in one task via
+#   `_in_one_task`, not a one-partition exchange).
 ALLOWED_PART_GROUPBYS = {"pipelines/relational.py": 1,
                          "stages/canonicalize.py": 0,
-                         "pipelines/kg.py": 0}
+                         "pipelines/kg.py": 0,
+                         "stages/graph.py": 0}
 
 
 def test_no_hand_written_hash_exchange_grows_back():

@@ -220,12 +220,15 @@ def test_deterministic_walks_both_modes(ray_session, monkeypatch):
           for a, b in rng.integers(0, 25, size=(60, 2)) if a != b]
     es += [("n0", "sink"), ("iso_src", "n1")]
     want = _seq_walks(es, length=4)
-    for limit, kw in ((10_000, {}), (0, {"n_parts": 3})):
+    from fcrepo3_rdf_extractor_ray import runtime
+
+    for limit, cpus in ((10_000, 4), (0, 3)):
         monkeypatch.setattr(graph, "WALKS_BROADCAST_MAX_EDGES", limit)
+        monkeypatch.setattr(runtime, "cluster_cpus", lambda c=cpus: c)
         got = {(r["start"], r["step"], r["node"])
                for r in deterministic_walks(_edges_ds(es).repartition(4),
-                                            length=4, **kw).take_all()}
-        assert got == want, kw
+                                            length=4).take_all()}
+        assert got == want, limit
 
 
 def test_collect_table_runs_its_input_once(ray_session, tmp_path):

@@ -8,6 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
+from fcrepo3_rdf_extractor_ray import runtime
 from test_graph import _edges_ds, _seq_pagerank
 
 
@@ -117,6 +118,8 @@ def test_connected_components_random_vs_reference(ray_session, monkeypatch,
     # SMALL_GRAPH_EDGES = 0 forces the full contraction pipeline — the
     # fast path is a trivial single-task UF and is covered elsewhere
     monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
-    got = (connected_components(rd.from_arrow(t).repartition(5), n_parts=7)
+    # 7 CPUs: eight exchange partitions
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 7)
+    got = (connected_components(rd.from_arrow(t).repartition(5))
            .to_pandas().set_index("node")["component"].to_dict())
     assert got == want

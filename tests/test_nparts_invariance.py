@@ -148,11 +148,12 @@ def test_derived_defaults_flagship_unchanged(fn_name, sf_dir, ray_session):
     assert len(df) > 0
 
 
-def test_round4f_ops_nparts_invariant(ray_session):
+def test_round4f_ops_nparts_invariant(ray_session, monkeypatch):
     """The round-4f exchanges are partition-count independent: link
     reciprocity, modularity, the five neighbour-pair algorithms and the
-    weighted / seeded rankers return identical rows at
-    n_parts ∈ {3, 16, 64} on a random graph."""
+    weighted / seeded rankers return identical rows whatever partition
+    count the session's CPU count implies (1, 16 and 64 CPUs) on a
+    random graph."""
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.stages.graph import (
@@ -183,30 +184,27 @@ def test_round4f_ops_nparts_invariant(ray_session):
         return (df[sorted(df.columns)]
                 .sort_values(sorted(df.columns)).reset_index(drop=True))
 
+    def at(cpus, build):
+        monkeypatch.setattr(runtime, "cluster_cpus", lambda: cpus)
+        return frame(build())
+
     for build in (
-        lambda np_: link_reciprocity(
-            rd.from_arrow(host_t).repartition(5), n_parts=np_),
-        lambda np_: modularity_profile(
+        lambda: link_reciprocity(rd.from_arrow(host_t).repartition(5)),
+        lambda: modularity_profile(
             rd.from_arrow(edges_t).repartition(5),
-            rd.from_arrow(labels_t), n_parts=np_),
-        lambda np_: clustering_coefficients(
-            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
-        lambda np_: triangle_count(
-            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
-        lambda np_: neighborhood_jaccard(
-            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
-        lambda np_: two_hop_scores(
-            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
-        lambda np_: resource_alloc_scores(
-            rd.from_arrow(edges_t).repartition(5), n_parts=np_),
-        lambda np_: pagerank_weighted(
-            rd.from_arrow(weighted_t).repartition(5), n_parts=np_),
-        lambda np_: trust_rank(
-            rd.from_arrow(directed_t).repartition(5), seeds=nodes[:3],
-            n_parts=np_),
+            rd.from_arrow(labels_t)),
+        lambda: clustering_coefficients(
+            rd.from_arrow(edges_t).repartition(5)),
+        lambda: triangle_count(rd.from_arrow(edges_t).repartition(5)),
+        lambda: neighborhood_jaccard(rd.from_arrow(edges_t).repartition(5)),
+        lambda: two_hop_scores(rd.from_arrow(edges_t).repartition(5)),
+        lambda: resource_alloc_scores(
+            rd.from_arrow(edges_t).repartition(5)),
+        lambda: pagerank_weighted(rd.from_arrow(weighted_t).repartition(5)),
+        lambda: trust_rank(rd.from_arrow(directed_t).repartition(5),
+                           seeds=nodes[:3]),
     ):
-        ref = frame(build(3))
+        ref = at(1, build)
         assert len(ref) > 0
-        for np_ in (16, 64):
-            got = frame(build(np_))
-            pd.testing.assert_frame_equal(got, ref)
+        for cpus in (16, 64):
+            pd.testing.assert_frame_equal(at(cpus, build), ref)

@@ -6,6 +6,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from fcrepo3_rdf_extractor_ray import runtime
+
 
 def _canon_list(urls):
     from fcrepo3_rdf_extractor_ray.stages.web import canonicalize_urls
@@ -83,7 +85,8 @@ def test_kcore_random_graphs(ray_session, monkeypatch, seed, n_nodes,
     got_small = nodes_of(kcore_nodes(rd.from_arrow(t), k=k))
     assert got_small == expected
     monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
-    got_dist = nodes_of(kcore_nodes(rd.from_arrow(t), k=k, n_parts=4))
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 4)
+    got_dist = nodes_of(kcore_nodes(rd.from_arrow(t), k=k))
     assert got_dist == expected
     # invariant: induced-subgraph degrees all >= k (when non-empty)
     keep = set(expected)

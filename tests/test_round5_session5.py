@@ -50,7 +50,7 @@ def test_bgp_optional_left_semantics(ray_session):
     pd.testing.assert_frame_equal(out, want)
 
 
-def test_bgp_optional_partition_invariance(ray_session):
+def test_bgp_optional_partition_invariance(ray_session, monkeypatch):
     import ray.data as rd
 
     from fcrepo3_rdf_extractor_ray.stages.graph import bgp_optional
@@ -63,9 +63,13 @@ def test_bgp_optional_partition_invariance(ray_session):
              f"e{int(rng.integers(0, 25))}", f"u{i}")
             for i in range(n)]
     t = _facts(rows)
-    a = (bgp_optional(rd.from_arrow(t).repartition(1), n_parts=2)
+    from fcrepo3_rdf_extractor_ray import runtime
+
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 2)
+    a = (bgp_optional(rd.from_arrow(t).repartition(1))
          .to_pandas().sort_values(["a", "b", "c"]).reset_index(drop=True))
-    b = (bgp_optional(rd.from_arrow(t).repartition(7), n_parts=9)
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 9)
+    b = (bgp_optional(rd.from_arrow(t).repartition(7))
          .to_pandas().sort_values(["a", "b", "c"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
 

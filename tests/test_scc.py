@@ -8,6 +8,7 @@ import pyarrow as pa
 import ray.data as rd
 import pytest
 
+from fcrepo3_rdf_extractor_ray import runtime
 from fcrepo3_rdf_extractor_ray.stages import graph
 from fcrepo3_rdf_extractor_ray.stages.graph import _tarjan_scc, scc_labels
 
@@ -37,10 +38,10 @@ def test_scc_distributed_fb_trim(ray_session, monkeypatch):
     """Force the FB-Trim path (cutoff 0): trim peels the chain and the
     source, two FB rounds resolve the nested cycles."""
     monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 4)
     got = {r["node"]: r["scc_id"]
            for r in scc_labels(rd.from_arrow(_edges_table(EDGES))
-                               .repartition(3),
-                               n_parts=4).take_all()}
+                               .repartition(3)).take_all()}
     assert got == WANT
 
 
@@ -54,10 +55,10 @@ def test_scc_random_graph_matches_tarjan(ray_session, monkeypatch):
                                       "b": [e[1] for e in es]}))
     want = dict(zip(truth["node"], truth["scc_id"]))
     monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 4)
     got = {r["node"]: r["scc_id"]
            for r in scc_labels(rd.from_arrow(_edges_table(es))
-                               .repartition(4),
-                               n_parts=4).take_all()}
+                               .repartition(4)).take_all()}
     assert got == want
 
 
@@ -94,9 +95,9 @@ def test_bowtie_regions_distributed(ray_session, monkeypatch):
     t = pa.table({"subj": [e[0] for e in edges],
                   "obj": [e[1] for e in edges]})
     monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 0)
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 4)
     got = {r["node"]: r["region"]
-           for r in bowtie_regions(rd.from_arrow(t).repartition(3),
-                                   n_parts=4).take_all()}
+           for r in bowtie_regions(rd.from_arrow(t).repartition(3)).take_all()}
     assert got == {"k0": "CORE", "k1": "CORE", "k2": "CORE",
                    "i0": "IN", "i1": "IN", "o0": "OUT", "o1": "OUT",
                    "x0": "OTHER", "x1": "OTHER"}

@@ -70,19 +70,20 @@ def test_redirect_resolve_chains_and_loops(ray_session):
     assert got == want
 
 
-def test_redirect_resolve_distributed_doubling(ray_session):
+def test_redirect_resolve_distributed_doubling(ray_session, monkeypatch):
     """Force the pointer-doubling path (short-circuit off): chains
     into a loop and odd cycles must classify identically."""
+    from fcrepo3_rdf_extractor_ray import runtime
     from fcrepo3_rdf_extractor_ray.stages.web import redirect_resolve
 
+    monkeypatch.setattr(runtime, "cluster_cpus", lambda: 4)
     reds = rd.from_arrow(pa.table({
         "url": ["a", "b", "c", "f", "p", "q", "r"],
         "target": ["b", "c", "T", "p", "q", "r", "p"],
     }))
     got = {r_["url"]: (r_["final_url"], r_["status"])
            for r_ in redirect_resolve(reds, small_map_rows=0,
-                                      max_doublings=4,
-                                      n_parts=4).take_all()}
+                                      max_doublings=4).take_all()}
     assert got == {
         "a": ("T", "ok"), "b": ("T", "ok"), "c": ("T", "ok"),
         "f": ("f", "loop"),            # chain feeding a loop
